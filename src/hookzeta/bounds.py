@@ -20,7 +20,9 @@ class Bounds:
     polytabloid_max_n: int = 7
     # Largest sublattice index accepted by the exhaustive census.
     index_enumeration_max: int = 500
-    # Largest residue module size p**n accepted by subspace spinning.
+    # Largest residue module size p**n accepted for residue submodules.  The
+    # exhaustive fallback spins all (p**n - 1)/(p - 1) lines; the usual path
+    # needs at most n spins, but the same bound still applies to it.
     spinning_max_order: int = 1_000_000
 
 

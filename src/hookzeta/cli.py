@@ -1,13 +1,15 @@
 """Command-line front end.
 
 Subcommands: zeta, coeffs, enumerate, identify, verify, specht.
-Exit codes: 0 success, 1 verification or identification failure, 2 bad input.
+Exit codes: 0 success, 1 verification or identification failure (or a reader
+that closed standard output early), 2 bad or unreadable input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import craig, specht, verify, zeta
@@ -226,11 +228,20 @@ def main(argv=None) -> int:
         print("module dimension must be at least 2", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here so that a closed pipe surfaces inside this try block.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away; send what is still buffered to devnull so
+        # that the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (zeta.ZetaError, ZetaInputError, ScaleError, MatrixError, ValueError) as exc:
+    except (zeta.ZetaError, ZetaInputError, ScaleError, MatrixError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,8 +7,11 @@ p^a L(p^b) of the same family, and inclusion, intersection and index between
 scaled members have closed forms.  This module materializes the lattices,
 implements the closed forms, and provides two independent enumeration routes:
 
-* a breadth-first walk over maximal stable sublattices, driven by exhaustive
-  submodule spinning in the residue module L/pL, and
+* a breadth-first walk over maximal stable sublattices, driven by the
+  submodule lattice of the residue module L/pL, which is read off from a few
+  spins at kernels of one group-algebra word with squarefree characteristic
+  polynomial (exhaustive spinning over every line of L/pL remains as the
+  fallback and as the test oracle), and
 * an exhaustive census of all sublattices of a given index via canonical
   triangular bases, filtered by stability.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .arith import divisors, prime_factorization, valuation
+from .arith import divisors, is_prime, prime_factorization, valuation
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from .exactmat import (
     IntMatrix,
@@ -67,6 +70,12 @@ class CraigLattice:
     basis: LatticeBasis
 
 
+def _require_prime(p: int) -> None:
+    """The shared guard of every entry point that takes a prime."""
+    if not is_prime(p):
+        raise ValueError(f"p must be a prime number, got {p}")
+
+
 @dataclass(frozen=True)
 class ScaledCraigLattice:
     """The classified form p^a L(p^b) of a stable sublattice of p-power index."""
@@ -76,6 +85,7 @@ class ScaledCraigLattice:
     b: int
 
     def __post_init__(self):
+        _require_prime(self.p)
         if self.a < 0 or self.b < 0:
             raise ValueError("exponents must be nonnegative")
 
@@ -140,8 +150,21 @@ def is_g_stable(lattice: LatticeBasis, gens) -> bool:
 #
 # A subspace is canonicalized as the tuple of rows of its reduced row echelon
 # basis over F_p.  Spinning closes a single vector under the generator action;
-# every submodule is a join of such cyclic submodules, so closing the cyclic
-# family under sums enumerates the full submodule lattice.
+# every submodule is a join of such cyclic submodules, so closing a family of
+# cyclic submodules that contains a generating set of every submodule under
+# sums enumerates the full submodule lattice.
+#
+# The exhaustive family spins every line of F_p^n, which costs p^n spins.  A
+# group-algebra word B whose characteristic polynomial chi is squarefree needs
+# only one spin per irreducible factor f of chi: F_p^n is the direct sum of the
+# B-irreducible kernels ker f(B), so every submodule is the direct sum of the
+# kernels it contains, and hence the join of the spins of one nonzero vector
+# from each of them (the MeatAxe idea of Parker, "The computer calculation of
+# modular characters", 1984).  The words tried are the prefix products
+# A_1 ... A_k of the generators; for the transpositions s_1, ..., s_n of the
+# hook module, s_1 ... s_(n-1) is an n-cycle with chi = x^n - 1 and s_1 ... s_n
+# is an (n+1)-cycle with chi = 1 + x + ... + x^n, and no prime divides both n
+# and n+1, so one of them is squarefree mod every p.
 # ---------------------------------------------------------------------------
 
 
@@ -213,12 +236,17 @@ def _join(a, b, p: int, n: int):
     return _subspace_key(basis)
 
 
-def _all_submodules(action_mats, p: int, n: int):
-    """Every action-invariant subspace of F_p^n, as canonical echelon keys."""
+def _submodules_from_spins(vectors, action_mats, p: int, n: int):
+    """Spin each vector and close the cyclic submodules under joins.
+
+    Returns every submodule when each submodule is a join of spins of the
+    given vectors, as canonical echelon keys, together with the key of the
+    whole space.
+    """
     action_rows = [tuple(m.entries) for m in action_mats]
     full = _subspace_key([(i, [1 if j == i else 0 for j in range(n)]) for i in range(n)])
     cyclic = set()
-    for vec in _projective_reps(n, p):
+    for vec in vectors:
         key = _spin(vec, action_rows, p, n)
         cyclic.add(full if key is None else key)
     subs = set(cyclic)
@@ -237,18 +265,186 @@ def _all_submodules(action_mats, p: int, n: int):
     return subs, full
 
 
-_SUBMODULE_CACHE: dict = {}
+def _all_submodules(action_mats, p: int, n: int):
+    """Every action-invariant subspace of F_p^n, by spinning every line."""
+    return _submodules_from_spins(_projective_reps(n, p), action_mats, p, n)
+
+
+def _mat_mul_mod(a, b, p: int) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
+
+
+def _nullspace_mod(rows, p: int, n: int) -> list[list[int]]:
+    """A basis of the vectors v in F_p^n with row . v = 0 for every row."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        _rref_insert(basis, list(row), p)
+    pivots = {pos for pos, _ in basis}
+    out = []
+    for free in range(n):
+        if free not in pivots:
+            v = [0] * n
+            v[free] = 1
+            for pos, row in basis:
+                v[pos] = -row[free] % p
+            out.append(v)
+    return out
+
+
+# Polynomials over F_p are coefficient lists, constant term first, with no
+# trailing zeros; [] is the zero polynomial.
+
+
+def _poly_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    a = a[:]
+    inv = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        c = a[-1] * inv % p
+        shift = len(a) - len(b)
+        for i, y in enumerate(b):
+            a[shift + i] = (a[shift + i] - c * y) % p
+        _poly_trim(a)
+    return a
+
+
+def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd of two polynomials, a nonzero."""
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [x * inv % p for x in a]
+
+
+def _poly_mul_rem(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    prod = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _poly_rem([x % p for x in prod], f, p)
+
+
+def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial over F_p, via reduction to Hessenberg form."""
+    n = len(mat)
+    h = [row[:] for row in mat]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(h[m][m - 1], -1, p)
+        for r in range(m + 1, n):
+            u = h[r][m - 1] * inv % p
+            if u:
+                # Similarity by an elementary matrix: row r -= u row m, then
+                # column m += u column r.
+                h[r] = [(x - u * y) % p for x, y in zip(h[r], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[r]) % p
+    # chi_m is the characteristic polynomial of the leading m x m block.
+    chis = [[1]]
+    for m in range(1, n + 1):
+        prev = chis[m - 1]
+        chi = [0] + prev
+        for k, c in enumerate(prev):
+            chi[k] -= h[m - 1][m - 1] * c
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % p
+            coef = t * h[m - i - 1][m - 1]
+            for k, c in enumerate(chis[m - i - 1]):
+                chi[k] -= coef * c
+        chis.append([x % p for x in chi])
+    return chis[n]
+
+
+def _is_squarefree(f: list[int], p: int) -> bool:
+    deriv = _poly_trim([k * c % p for k, c in enumerate(f)][1:])
+    return len(_poly_gcd(f, deriv, p)) == 1
+
+
+def _berlekamp(f: list[int], p: int) -> list[list[int]]:
+    """The monic irreducible factors of a monic squarefree f over F_p.
+
+    The polynomials g of degree below deg f with g^p = g mod f form the
+    Berlekamp subalgebra, the null space of Q - I where row i of Q holds
+    x^(ip) mod f.  Each such g is constant modulo every irreducible factor,
+    so h = prod_s gcd(h, g - s) for every factor h of f, and a basis of the
+    subalgebra separates all irreducible factors.  The subalgebra has one
+    dimension per irreducible factor, which says when to stop.
+    """
+    n = len(f) - 1
+    x_p = [1]
+    for _ in range(p):
+        x_p = _poly_mul_rem(x_p, [0, 1], f, p)
+    q = [[1]]
+    for _ in range(1, n):
+        q.append(_poly_mul_rem(q[-1], x_p, f, p))
+    q_minus_i = [[0] * n for _ in range(n)]
+    for i, row in enumerate(q):
+        for j, c in enumerate(row):
+            q_minus_i[j][i] = c
+        q_minus_i[i][i] = (q_minus_i[i][i] - 1) % p
+    algebra = _nullspace_mod(q_minus_i, p, n)
+    factors = [f]
+    for g in algebra:
+        if len(factors) == len(algebra):
+            break
+        splits = []
+        for h in factors:
+            for s in range(p):
+                shifted = _poly_trim([(g[0] - s) % p] + g[1:])
+                d = _poly_gcd(h, shifted, p) if shifted else h
+                if len(d) > 1:
+                    splits.append(d)
+        factors = splits
+    return factors
+
+
+def _poly_at_matrix(f: list[int], mat: list[list[int]], p: int) -> list[list[int]]:
+    n = len(mat)
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(f):
+        out = _mat_mul_mod(out, mat, p)
+        for i in range(n):
+            out[i][i] = (out[i][i] + c) % p
+    return out
+
+
+def _word_submodules(action_mats, p: int, n: int):
+    """Every submodule, from one spin per irreducible factor of chi.
+
+    chi is the characteristic polynomial of the first prefix product
+    A_1 ... A_k of the action matrices that is squarefree over F_p.  Returns
+    None when there is no such product.
+    """
+    word = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for m in action_mats:
+        word = _mat_mul_mod(word, m.entries, p)
+        chi = _charpoly_mod(word, p)
+        if _is_squarefree(chi, p):
+            kernels = [
+                _nullspace_mod(_poly_at_matrix(f, word, p), p, n)[0] for f in _berlekamp(chi, p)
+            ]
+            return _submodules_from_spins(kernels, action_mats, p, n)
+    return None
 
 
 def _submodules_for_action(action_mats, p: int, n: int, bounds: Bounds):
     if p**n > bounds.spinning_max_order:
         raise ScaleError("spinning-scale-exceeded: residue module is too large")
-    key = (p, tuple(m.entries for m in action_mats))
-    hit = _SUBMODULE_CACHE.get(key)
-    if hit is None:
-        hit = _all_submodules(action_mats, p, n)
-        _SUBMODULE_CACHE[key] = hit
-    return hit
+    found = _word_submodules(action_mats, p, n)
+    return _all_submodules(action_mats, p, n) if found is None else found
 
 
 def _residue_action(lattice: LatticeBasis, gens, p: int) -> list[IntMatrix]:
@@ -294,9 +490,12 @@ def maximal_sublattices_p(
     """All maximal stable sublattices N with pL contained in N.
 
     These correspond to the maximal invariant subspaces of the residue module
-    L/pL, which are found by exhaustive spinning.  When the residue module is
-    irreducible the only such sublattice is pL itself.
+    L/pL.  Its submodule lattice comes from one spin per irreducible factor
+    of a semisimple generator word, or from spinning every line of L/pL when
+    no prefix product of the generators is semisimple.  When the residue
+    module is irreducible the only such sublattice is pL itself.
     """
+    _require_prime(p)
     n = lattice.dim
     acts = _residue_action(lattice, gens, p)
     subs, full = _submodules_for_action(acts, p, n, bounds)
@@ -326,6 +525,7 @@ def phi_p(
     These are the invariant subspaces of L/pL containing the image of the
     radical, lifted back to lattices.
     """
+    _require_prime(p)
     n = lattice.dim
     acts = _residue_action(lattice, gens, p)
     subs, _full = _submodules_for_action(acts, p, n, bounds)
@@ -343,6 +543,7 @@ def phi_p_class(
     lattice: LatticeBasis, gens, p: int, j: int, bounds: Bounds = DEFAULT_BOUNDS
 ) -> list[LatticeBasis]:
     """Members of phi_p isomorphic to L(p^j); isomorphism is a scalar test here."""
+    _require_prime(p)
     n = lattice.dim
     target = craig_lattice(n, p**j).basis
     return [
@@ -383,6 +584,7 @@ def enumerate_p_sublattices(
     bottom of a chain of maximal inclusions, so repeatedly expanding maximal
     stable sublattices and deduplicating by normal form reaches everything.
     """
+    _require_prime(p)
     if max_exp < 0:
         raise ValueError("max_exp must be nonnegative")
     levels: dict[int, dict[tuple, LatticeBasis]] = {0: {lattice.key(): lattice}}
@@ -590,6 +792,7 @@ def classify_sublattice(sub: LatticeBasis, n: int, p: int) -> tuple[int, int]:
     equal some L(p^b) exactly.  Failure to classify signals a bug (or a
     non-stable input) and raises.
     """
+    _require_prime(p)
     c = sub.content()
     a = valuation(c, p) if c > 1 else 0
     if p**a != c:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,34 @@ class TestIdentifyCommand:
         code, _, err = run(capsys, "identify", "--file", str(path), "--n", "2")
         assert code == 1
         assert "not stable" in err
+
+    def test_missing_file_exits_two(self, capsys, tmp_path):
+        missing = tmp_path / "absent.json"
+        code, _, err = run(capsys, "identify", "--file", str(missing), "--n", "3")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert str(missing) in err
+
+
+class TestClosedPipe:
+    def test_reader_closing_early_leaves_no_traceback(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hookzeta.cli", "coeffs", "--n", "3", "--d", "4", "--limit", "200000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        head = proc.stdout.read(300)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head.startswith(b"[")
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
 
 class TestSpechtCommand:

@@ -1,6 +1,6 @@
 import pytest
 
-from hookzeta.arith import prime_factorization, valuation
+from hookzeta.arith import divisors, prime_factorization, valuation
 from hookzeta.bounds import Bounds, ScaleError
 from hookzeta.craig import (
     ScaledCraigLattice,
@@ -19,6 +19,9 @@ from hookzeta.craig import (
     scaled_index,
     scaled_intersect,
     scaled_lattice_basis,
+    _all_submodules,
+    _residue_action,
+    _word_submodules,
 )
 from hookzeta.exactmat import (
     IntMatrix,
@@ -28,7 +31,7 @@ from hookzeta.exactmat import (
     lattice_index,
     lattice_intersect,
 )
-from hookzeta.specht import craig_generators
+from hookzeta.specht import RepGenerators, craig_generators, specht_generators_closed
 
 
 def scaled(n, p, a, b):
@@ -147,6 +150,55 @@ class TestMaximalSublattices:
             maximal_sublattices_p(
                 craig_lattice(6, 1).basis, gens, 7, Bounds(spinning_max_order=1000)
             )
+
+
+class TestResidueSubmodules:
+    def test_word_spins_match_exhaustive_spinning(self):
+        cases = 0
+        for n in range(2, 10):
+            for p in (2, 3, 5, 7, 11, 13):
+                if p**n > 512:
+                    continue
+                pairs = [(craig_lattice(n, d).basis, craig_generators(n)) for d in divisors(n + 1)]
+                pairs.append((LatticeBasis(IntMatrix.identity(n)), specht_generators_closed(n)))
+                for lat, gens in pairs:
+                    acts = _residue_action(lat, gens, p)
+                    assert _word_submodules(acts, p, n) == _all_submodules(acts, p, n), (n, p)
+                    cases += 1
+        assert cases == 67
+
+    def test_identity_generators_fall_back_to_exhaustive_spinning(self):
+        n, p = 3, 2
+        gens = RepGenerators(n, (IntMatrix.identity(n),) * n)
+        lat = craig_lattice(n, 1).basis
+        assert _word_submodules(_residue_action(lat, gens, p), p, n) is None
+        assert len(maximal_sublattices_p(lat, gens, p)) == (p**n - 1) // (p - 1)
+
+
+class TestPrimeValidation:
+    def test_composite_p_rejected(self):
+        with pytest.raises(ValueError, match="prime"):
+            maximal_sublattices_p(craig_lattice(3, 1).basis, craig_generators(3), 4)
+
+    def test_p_one_rejected(self):
+        with pytest.raises(ValueError, match="prime"):
+            enumerate_p_sublattices(craig_lattice(3, 1).basis, craig_generators(3), 1, 2)
+
+    def test_every_entry_point_rejects(self):
+        gens = craig_generators(3)
+        lat = craig_lattice(3, 1).basis
+        calls = [
+            lambda: ScaledCraigLattice(4, 0, 0),
+            lambda: rad_p(lat, gens, 4),
+            lambda: phi_p(lat, gens, 4),
+            lambda: phi_p_class(lat, gens, 4, 1),
+            lambda: mu_p(lat, gens, 4, lat),
+            lambda: enumerate_p_sublattices(lat, gens, 4, 0),
+            lambda: classify_sublattice(lat, 3, 4),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="prime"):
+                call()
 
 
 class TestRadical:
