@@ -9,6 +9,7 @@ from .craig import (
     craig_lattice,
     enumerate_index_sublattices,
     enumerate_p_sublattices,
+    identify_stable_lattice,
     is_g_stable,
     maximal_sublattices_p,
     mu_p,
@@ -19,6 +20,9 @@ from .craig import (
     scaled_index,
     scaled_intersect,
     scaled_lattice_basis,
+    scaled_maximal_sublattices,
+    scaled_radical,
+    scaled_radical_interval,
 )
 from .exactmat import (
     IntMatrix,
@@ -59,7 +63,6 @@ from .zeta import (
     dirichlet_coeff,
     global_zeta,
     local_factor,
-    series_expand,
     specht_zeta,
     theorem_factor,
     verify_inverse,

@@ -19,7 +19,6 @@ from .exactmat import (
     LatticeBasis,
     LatticeError,
     MatrixError,
-    is_scalar_multiple,
     matrix_from_json,
     matrix_to_json,
 )
@@ -109,15 +108,15 @@ def cmd_identify(args) -> int:
     if not craig.is_g_stable(lat, gens):
         print("lattice is not stable under the action", file=sys.stderr)
         return 1
-    for d in craig.divisors(args.n + 1):
-        if is_scalar_multiple(craig.craig_lattice(args.n, d).basis, lat) is not None:
-            if args.format == "json":
-                _emit_json({"n": args.n, "d": d})
-            else:
-                print(d)
-            return 0
-    print("no stable representative matches", file=sys.stderr)
-    return 1
+    d = craig.identify_stable_lattice(lat)
+    if d is None:
+        print("no stable representative matches", file=sys.stderr)
+        return 1
+    if args.format == "json":
+        _emit_json({"n": args.n, "d": d})
+    else:
+        print(d)
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -150,7 +149,9 @@ def cmd_specht(args) -> int:
             print("closed Specht action disagrees with the oracle", file=sys.stderr)
             return 1
     p = specht.intertwiner(closed, specht.craig_generators(args.n))
-    d = specht.identify_specht_lattice(args.n, bounds)
+    d = craig.identify_stable_lattice(LatticeBasis(p))
+    if d is None:
+        raise LatticeError("intertwined lattice matches no stable representative")
     payload = {
         "n": args.n,
         "generators": specht.generators_to_json(closed)["generators"],

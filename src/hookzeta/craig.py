@@ -4,8 +4,10 @@ For every divisor d of n+1 there is a stable lattice L(d) inside the
 n-dimensional hook module, given by an explicit triangular basis.  Every
 stable sublattice whose index is a power of a prime p is a scaled member
 p^a L(p^b) of the same family, and inclusion, intersection and index between
-scaled members have closed forms.  This module materializes the lattices,
-implements the closed forms, and provides two independent enumeration routes:
+scaled members have closed forms, as do the maximal stable sublattices, the
+radical and the radical interval of each L(p^i).  This module materializes the
+lattices, implements the closed forms, and provides two independent
+enumeration routes:
 
 * a breadth-first walk over maximal stable sublattices, driven by the
   submodule lattice of the residue module L/pL, which is read off from a few
@@ -22,6 +24,7 @@ for every closed formula in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 
 from .arith import divisors, is_prime, prime_factorization, valuation
@@ -46,6 +49,10 @@ __all__ = [
     "scaled_inclusion",
     "scaled_intersect",
     "scaled_index",
+    "scaled_maximal_sublattices",
+    "scaled_radical",
+    "scaled_radical_interval",
+    "identify_stable_lattice",
     "is_g_stable",
     "action_in_basis",
     "maximal_sublattices_p",
@@ -56,7 +63,6 @@ __all__ = [
     "enumerate_p_sublattices",
     "enumerate_index_sublattices",
     "classify_sublattice",
-    "divisors",
     "lattices_to_json",
 ]
 
@@ -130,6 +136,55 @@ def scaled_index(n: int, sup: ScaledCraigLattice, sub: ScaledCraigLattice) -> in
     if not scaled_inclusion(sub, sup):
         raise LatticeError("not-sublattice")
     return (sub.a - sup.a) * n + (sub.b - sup.b) * (n - 1)
+
+
+def scaled_maximal_sublattices(n: int, p: int, i: int) -> list[ScaledCraigLattice]:
+    """The maximal stable sublattices of L(p^i) above p L(p^i), in closed form.
+
+    With v = v_p(n+1): L(1) has the single maximal sublattice L(p), L(p^v) has
+    the single maximal sublattice p L(p^(v-1)), and every L(p^i) in between
+    has exactly the two L(p^(i+1)) and p L(p^(i-1)).
+    """
+    _require_prime(p)
+    v = valuation(n + 1, p)
+    if v == 0 or not 0 <= i <= v:
+        raise ValueError(f"need p | n + 1 and 0 <= i <= v_p(n + 1), got n={n}, p={p}, i={i}")
+    if i == 0:
+        return [ScaledCraigLattice(p, 0, 1)]
+    if i == v:
+        return [ScaledCraigLattice(p, 1, i - 1)]
+    return [ScaledCraigLattice(p, 0, i + 1), ScaledCraigLattice(p, 1, i - 1)]
+
+
+def scaled_radical(n: int, p: int, i: int) -> ScaledCraigLattice:
+    """The radical of L(p^i): the intersection of its maximal stable sublattices."""
+    return reduce(scaled_intersect, scaled_maximal_sublattices(n, p, i))
+
+
+def scaled_radical_interval(n: int, p: int, i: int) -> list[ScaledCraigLattice]:
+    """The stable lattices between the radical of L(p^i) and L(p^i) itself.
+
+    Every such lattice is a family member p^a L(p^b) with a <= 1 and
+    b <= v_p(n+1), so the interval is read off the inclusion closed form.
+    """
+    radical = scaled_radical(n, p, i)
+    top = ScaledCraigLattice(p, 0, i)
+    return [
+        x
+        for x in (
+            ScaledCraigLattice(p, a, b) for a in range(2) for b in range(valuation(n + 1, p) + 1)
+        )
+        if scaled_inclusion(radical, x) and scaled_inclusion(x, top)
+    ]
+
+
+def identify_stable_lattice(lattice: LatticeBasis) -> int | None:
+    """The divisor d of n+1 with the lattice a scalar multiple of L(d), or None."""
+    n = lattice.dim
+    for d in divisors(n + 1):
+        if is_scalar_multiple(craig_lattice(n, d).basis, lattice) is not None:
+            return d
+    return None
 
 
 def action_in_basis(lattice: LatticeBasis, mat: IntMatrix) -> IntMatrix | None:

@@ -24,13 +24,12 @@ from math import gcd
 from typing import NamedTuple
 
 from . import craig
-from .arith import content, divisors
+from .arith import content
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from .exactmat import (
     IntMatrix,
     LatticeBasis,
     LatticeError,
-    is_scalar_multiple,
     matrix_from_json,
     matrix_to_json,
 )
@@ -324,14 +323,11 @@ def identify_specht_lattice(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> int:
     coordinates and returns the divisor d of n+1 whose lattice L(d) it is a
     scalar multiple of.
     """
-    gens = specht_generators_closed(n)
-    target = craig_generators(n)
-    p = intertwiner(gens, target)
-    image = LatticeBasis(p)
-    for d in divisors(n + 1):
-        if is_scalar_multiple(craig.craig_lattice(n, d).basis, image) is not None:
-            return d
-    raise LatticeError("intertwined lattice matches no stable representative")
+    p = intertwiner(specht_generators_closed(n), craig_generators(n))
+    d = craig.identify_stable_lattice(LatticeBasis(p))
+    if d is None:
+        raise LatticeError("intertwined lattice matches no stable representative")
+    return d
 
 
 def generators_to_json(gens: RepGenerators) -> dict:

@@ -1,15 +1,22 @@
 """Cross-checks between every closed formula and its brute-force counterpart.
 
-Each check is named after the structural fact it exercises, runs exactly, and
-reports pass or fail; the report also records which of two candidate
-shapes of the Specht local factor the enumeration supports (they differ by
-one term, and only one of them counts correctly).
+Each check is named after the structural fact it exercises, takes its grid
+(the module dimensions n, exponent bounds, census limits, or a seeded random
+source) as parameters, runs exactly, and reports pass or fail.  The
+`hookzeta verify` battery runs every check on grids scaled by --n-max; the
+acceptance suite runs the same checks on larger fixed grids.  The report also
+records which of two candidate shapes of the Specht local factor the
+enumeration supports (they differ by one term, and only one of them counts
+correctly).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import wraps
+from itertools import product
+from math import gcd
 
 from . import craig, specht, zeta
 from .arith import divisors, prime_factorization, valuation
@@ -17,6 +24,7 @@ from .bounds import DEFAULT_BOUNDS, Bounds
 from .exactmat import (
     IntMatrix,
     LatticeBasis,
+    LatticeError,
     hnf,
     is_sublattice,
     lattice_index,
@@ -35,6 +43,26 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
+def _check(name: str):
+    """Turn a body returning (passed, detail) into the named check.
+
+    A crashing check is a failing check, not a crashed battery.
+    """
+
+    def decorate(body):
+        @wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            try:
+                passed, detail = body(*args, **kwargs)
+            except Exception as exc:
+                return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+            return CheckResult(name, passed, detail)
+
+        return check
+
+    return decorate
+
+
 def _craig_basis(n: int, d: int) -> LatticeBasis:
     return craig.craig_lattice(n, d).basis
 
@@ -43,193 +71,146 @@ def _scaled_basis(n: int, p: int, a: int, b: int) -> LatticeBasis:
     return craig.scaled_lattice_basis(n, craig.ScaledCraigLattice(p, a, b))
 
 
-def check_coxeter_standard(n_max: int) -> CheckResult:
-    bad = [n for n in range(2, n_max + 1) if not specht.verify_coxeter(specht.craig_generators(n))]
-    return CheckResult("Coxeter relations (standard coordinates)", not bad, f"failing n: {bad}")
+def _sorted_bases(n: int, family) -> list[LatticeBasis]:
+    """Scaled family members as lattices, in the order the walk returns them."""
+    return sorted((craig.scaled_lattice_basis(n, x) for x in family), key=LatticeBasis.key)
 
 
-def check_coxeter_specht(n_max: int) -> CheckResult:
+def _representatives(ns):
+    """(n, p, i) for every L(p^i) with p | n+1 and 0 <= i <= v_p(n+1)."""
+    for n in ns:
+        for p in sorted(prime_factorization(n + 1)):
+            for i in range(valuation(n + 1, p) + 1):
+                yield n, p, i
+
+
+def _walk_counts(lattice: LatticeBasis, gens, p: int, max_exp: int, bounds: Bounds) -> list[int]:
+    found = craig.enumerate_p_sublattices(lattice, gens, p, max_exp, bounds)
+    return [len(found[e]) for e in range(max_exp + 1)]
+
+
+@_check("Coxeter relations (standard coordinates)")
+def check_coxeter_standard(ns):
+    bad = [n for n in ns if not specht.verify_coxeter(specht.craig_generators(n))]
+    return not bad, f"failing n: {bad}"
+
+
+@_check("Coxeter relations (Specht coordinates)")
+def check_coxeter_specht(ns):
+    bad = [n for n in ns if not specht.verify_coxeter(specht.specht_generators_closed(n))]
+    return not bad, f"failing n: {bad}"
+
+
+@_check("Specht action: closed rule vs polytabloid oracle")
+def check_specht_oracle(ns, bounds: Bounds = DEFAULT_BOUNDS):
     bad = [
         n
-        for n in range(2, n_max + 1)
-        if not specht.verify_coxeter(specht.specht_generators_closed(n))
+        for n in ns
+        if specht.specht_generators_oracle(n, bounds).mats
+        != specht.specht_generators_closed(n).mats
     ]
-    return CheckResult("Coxeter relations (Specht coordinates)", not bad, f"failing n: {bad}")
+    return not bad, f"failing n: {bad}"
 
 
-def check_specht_oracle(n_max: int, bounds: Bounds) -> CheckResult:
+@_check("transposition character equals 2 - n")
+def check_character_traces(ns):
     bad = []
-    for n in range(2, min(n_max, bounds.polytabloid_max_n) + 1):
-        oracle = specht.specht_generators_oracle(n, bounds)
-        closed = specht.specht_generators_closed(n)
-        if oracle.mats != closed.mats:
-            bad.append(n)
-    return CheckResult(
-        "Specht action: closed rule vs polytabloid oracle", not bad, f"failing n: {bad}"
-    )
-
-
-def check_character_traces(n_max: int) -> CheckResult:
-    bad = []
-    for n in range(2, n_max + 1):
+    for n in ns:
         for gens in (specht.craig_generators(n), specht.specht_generators_closed(n)):
             if any(m.trace() != 2 - n for m in gens.mats):
                 bad.append(n)
-    return CheckResult("transposition character equals 2 - n", not bad, f"failing n: {bad}")
+    return not bad, f"failing n: {bad}"
 
 
-def check_stability_classification(n_max: int) -> CheckResult:
+@_check("stability of L(d) exactly for divisors of n+1")
+def check_stability_classification(ns):
     bad = []
-    for n in range(2, n_max + 1):
+    for n in ns:
         gens = specht.craig_generators(n)
         for d in range(1, 2 * (n + 1) + 1):
-            stable = craig.is_g_stable(_craig_basis(n, d), gens)
-            if stable != ((n + 1) % d == 0):
+            if craig.is_g_stable(_craig_basis(n, d), gens) != ((n + 1) % d == 0):
                 bad.append((n, d))
-    return CheckResult(
-        "stability of L(d) exactly for divisors of n+1", not bad, f"failing (n, d): {bad}"
-    )
+    return not bad, f"failing (n, d): {bad}"
 
 
-def check_scaled_closed_forms(n_max: int, exp_max: int = 4) -> CheckResult:
+@_check("scaled-lattice closed forms (inclusion, intersection, index formula)")
+def check_scaled_closed_forms(ns, exp_max: int):
+    """Every pair of family members p^a L(p^b) with a, b <= exp_max."""
     bad = []
-    for n in range(2, n_max + 1):
+    for n in ns:
         for p in sorted(prime_factorization(n + 1)):
-            quads = [
-                (a, b, a2, b2)
+            family = [
+                craig.ScaledCraigLattice(p, a, b)
                 for a in range(exp_max + 1)
                 for b in range(exp_max + 1)
-                for a2 in range(exp_max + 1)
-                for b2 in range(exp_max + 1)
             ]
-            for a, b, a2, b2 in quads:
-                x = craig.ScaledCraigLattice(p, a, b)
-                y = craig.ScaledCraigLattice(p, a2, b2)
-                lx, ly = _scaled_basis(n, p, a, b), _scaled_basis(n, p, a2, b2)
+            # The intersection of two members with a, b <= exp_max is again one.
+            bases = {x: craig.scaled_lattice_basis(n, x) for x in family}
+            for x, y in product(family, repeat=2):
+                lx, ly = bases[x], bases[y]
+                where = (n, p, x.a, x.b, y.a, y.b)
                 if craig.scaled_inclusion(x, y) != is_sublattice(lx, ly):
-                    bad.append(("inclusion", n, p, a, b, a2, b2))
+                    bad.append(("inclusion", *where))
                     continue
-                meet = craig.scaled_intersect(x, y)
-                if _scaled_basis(n, p, meet.a, meet.b) != lattice_intersect(lx, ly):
-                    bad.append(("intersection", n, p, a, b, a2, b2))
+                if bases[craig.scaled_intersect(x, y)] != lattice_intersect(lx, ly):
+                    bad.append(("intersection", *where))
                 if craig.scaled_inclusion(x, y):
-                    e = craig.scaled_index(n, y, x)
-                    if p**e != lattice_index(ly, lx):
-                        bad.append(("index", n, p, a, b, a2, b2))
-    return CheckResult(
-        "scaled-lattice closed forms (inclusion, intersection, index formula)",
-        not bad,
-        f"first failures: {bad[:5]}",
-    )
+                    if p ** craig.scaled_index(n, y, x) != lattice_index(ly, lx):
+                        bad.append(("index", *where))
+    return not bad, f"first failures: {bad[:5]}"
 
 
-def check_maximal_sublattices(n_max: int, bounds: Bounds) -> CheckResult:
+@_check("maximal sublattice classification")
+def check_maximal_sublattices(ns, bounds: Bounds = DEFAULT_BOUNDS):
+    bad = [
+        (n, p, i)
+        for n, p, i in _representatives(ns)
+        if craig.maximal_sublattices_p(_craig_basis(n, p**i), specht.craig_generators(n), p, bounds)
+        != _sorted_bases(n, craig.scaled_maximal_sublattices(n, p, i))
+    ]
+    return not bad, f"failing (n, p, i): {bad}"
+
+
+@_check("radical closed form")
+def check_radical(ns, bounds: Bounds = DEFAULT_BOUNDS):
+    bad = [
+        (n, p, i)
+        for n, p, i in _representatives(ns)
+        if craig.rad_p(_craig_basis(n, p**i), specht.craig_generators(n), p, bounds)
+        != craig.scaled_lattice_basis(n, craig.scaled_radical(n, p, i))
+    ]
+    return not bad, f"failing (n, p, i): {bad}"
+
+
+@_check("radical interval contents")
+def check_radical_interval(ns, bounds: Bounds = DEFAULT_BOUNDS):
+    bad = [
+        (n, p, i)
+        for n, p, i in _representatives(ns)
+        if craig.phi_p(_craig_basis(n, p**i), specht.craig_generators(n), p, bounds)
+        != _sorted_bases(n, craig.scaled_radical_interval(n, p, i))
+    ]
+    return not bad, f"failing (n, p, i): {bad}"
+
+
+@_check("radical interval split by isomorphism class")
+def check_radical_interval_classes(ns, bounds: Bounds = DEFAULT_BOUNDS):
+    """Class j of the interval is its members p^a L(p^j)."""
     bad = []
-    for n in range(2, n_max + 1):
+    for n, p, i in _representatives(ns):
         gens = specht.craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            for i in range(v + 1):
-                got = craig.maximal_sublattices_p(_craig_basis(n, p**i), gens, p, bounds)
-                if i == 0:
-                    want = [_scaled_basis(n, p, 0, 1)]
-                elif i == v:
-                    want = [_scaled_basis(n, p, 1, i - 1)]
-                else:
-                    want = sorted(
-                        [_scaled_basis(n, p, 0, i + 1), _scaled_basis(n, p, 1, i - 1)],
-                        key=lambda l: l.key(),
-                    )
-                if got != want:
-                    bad.append((n, p, i))
-    return CheckResult("maximal sublattice classification", not bad, f"failing (n, p, i): {bad}")
+        interval = craig.scaled_radical_interval(n, p, i)
+        for j in range(valuation(n + 1, p) + 1):
+            got = craig.phi_p_class(_craig_basis(n, p**i), gens, p, j, bounds)
+            if got != _sorted_bases(n, [x for x in interval if x.b == j]):
+                bad.append((n, p, i, j))
+    return not bad, f"failing (n, p, i, j): {bad}"
 
 
-def check_radical(n_max: int, bounds: Bounds) -> CheckResult:
+@_check("every p-power sublattice is a scaled representative (and conversely)")
+def check_p_power_classification(ns, max_exp: int, bounds: Bounds = DEFAULT_BOUNDS):
     bad = []
-    for n in range(2, n_max + 1):
-        gens = specht.craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            for i in range(v + 1):
-                got = craig.rad_p(_craig_basis(n, p**i), gens, p, bounds)
-                if i == 0:
-                    want = _scaled_basis(n, p, 0, 1)
-                elif i == v:
-                    want = _scaled_basis(n, p, 1, i - 1)
-                else:
-                    want = _scaled_basis(n, p, 1, i)
-                if got != want:
-                    bad.append((n, p, i))
-    return CheckResult("radical closed form", not bad, f"failing (n, p, i): {bad}")
-
-
-def check_radical_interval(n_max: int, bounds: Bounds) -> CheckResult:
-    bad = []
-    for n in range(2, n_max + 1):
-        gens = specht.craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            for i in range(v + 1):
-                got = craig.phi_p(_craig_basis(n, p**i), gens, p, bounds)
-                if i == 0:
-                    want = [_craig_basis(n, 1), _scaled_basis(n, p, 0, 1)]
-                elif i == v:
-                    want = [_scaled_basis(n, p, 1, i - 1), _scaled_basis(n, p, 0, i)]
-                else:
-                    want = [
-                        _scaled_basis(n, p, 1, i - 1),
-                        _scaled_basis(n, p, 0, i),
-                        _scaled_basis(n, p, 1, i),
-                        _scaled_basis(n, p, 0, i + 1),
-                    ]
-                if got != sorted(want, key=lambda l: l.key()):
-                    bad.append((n, p, i))
-    return CheckResult("radical interval contents", not bad, f"failing (n, p, i): {bad}")
-
-
-def check_radical_interval_classes(n_max: int, bounds: Bounds) -> CheckResult:
-    bad = []
-    for n in range(2, n_max + 1):
-        gens = specht.craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            for i in range(v + 1):
-                lat = _craig_basis(n, p**i)
-                for j in range(v + 1):
-                    got = craig.phi_p_class(lat, gens, p, j, bounds)
-                    if i == 0:
-                        want = (
-                            [_craig_basis(n, 1)]
-                            if j == 0
-                            else [_scaled_basis(n, p, 0, 1)] if j == 1 else []
-                        )
-                    elif i == v:
-                        if j == v - 1:
-                            want = [_scaled_basis(n, p, 1, v - 1)]
-                        elif j == v:
-                            want = [_scaled_basis(n, p, 0, v)]
-                        else:
-                            want = []
-                    else:
-                        if j == i - 1:
-                            want = [_scaled_basis(n, p, 1, i - 1)]
-                        elif j == i:
-                            want = [_scaled_basis(n, p, 0, i), _scaled_basis(n, p, 1, i)]
-                        elif j == i + 1:
-                            want = [_scaled_basis(n, p, 0, i + 1)]
-                        else:
-                            want = []
-                    if got != sorted(want, key=lambda l: l.key()):
-                        bad.append((n, p, i, j))
-    return CheckResult(
-        "radical interval split by isomorphism class", not bad, f"failing (n, p, i, j): {bad}"
-    )
-
-
-def check_p_power_classification(n_max: int, bounds: Bounds, max_exp: int = 5) -> CheckResult:
-    bad = []
-    for n in range(2, n_max + 1):
+    for n in ns:
         gens = specht.craig_generators(n)
         for p in sorted(prime_factorization(n + 1)):
             v = valuation(n + 1, p)
@@ -239,10 +220,10 @@ def check_p_power_classification(n_max: int, bounds: Bounds, max_exp: int = 5) -
                 for lat in lats:
                     try:
                         a, b = craig.classify_sublattice(lat, n, p)
-                    except Exception:
+                    except LatticeError:
                         bad.append((n, p, e, "unclassified"))
                         continue
-                    if b > v or a * n + b * (n - 1) != e:
+                    if b > v or a * n + b * (n - 1) != e or _scaled_basis(n, p, a, b) != lat:
                         bad.append((n, p, e, (a, b)))
                     seen.add((a, b))
             expected = {
@@ -253,101 +234,81 @@ def check_p_power_classification(n_max: int, bounds: Bounds, max_exp: int = 5) -
             }
             if seen != expected:
                 bad.append((n, p, "missing", sorted(expected - seen)))
-    return CheckResult(
-        "every p-power sublattice is a scaled representative (and conversely)",
-        not bad,
-        f"failures: {bad[:5]}",
-    )
+    return not bad, f"failures: {bad[:5]}"
 
 
-def check_inversion(n_max: int) -> CheckResult:
+@_check("counting-series matrix inversion identity")
+def check_inversion(ns):
+    bad = [
+        (n, p)
+        for n in ns
+        for p in sorted(prime_factorization(n + 1))
+        if not zeta.verify_inverse(zeta.build_A(n, p), zeta.build_B(n, p), n)
+    ]
+    return not bad, f"failing: {bad}"
+
+
+@_check("local factor equals row sum of partial series")
+def check_row_sums(ns):
     bad = []
-    for n in range(2, n_max + 1):
-        for p in sorted(prime_factorization(n + 1)):
-            if not zeta.verify_inverse(zeta.build_A(n, p), zeta.build_B(n, p), n):
-                bad.append((n, p))
-    return CheckResult("counting-series matrix inversion identity", not bad, f"failing: {bad}")
+    for n, p, i in _representatives(ns):
+        b = zeta.build_B(n, p)
+        total = sum((b[i, j] for j in range(b.size)), zeta.POLY_ZERO)
+        if total != zeta.local_factor(n, p, i).numerator:
+            bad.append((n, p, i))
+    return not bad, f"failing: {bad}"
 
 
-def check_row_sums(n_max: int) -> CheckResult:
+@_check("tridiagonal matrix from first principles (Moebius sums)")
+def check_tridiagonal_from_moebius(ns, bounds: Bounds = DEFAULT_BOUNDS):
     bad = []
-    for n in range(2, n_max + 1):
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            b = zeta.build_B(n, p)
-            for i in range(v + 1):
-                total = zeta.POLY_ZERO
-                for j in range(v + 1):
-                    total = total + b[i, j]
-                if total != zeta.local_factor(n, p, i).numerator:
-                    bad.append((n, p, i))
-    return CheckResult("local factor equals row sum of partial series", not bad, f"failing: {bad}")
-
-
-def check_tridiagonal_from_moebius(n_max: int, bounds: Bounds) -> CheckResult:
-    bad = []
-    for n in range(2, n_max + 1):
+    for n, p, i in _representatives(ns):
         gens = specht.craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            a = zeta.build_A(n, p)
-            for i in range(v + 1):
-                lat = _craig_basis(n, p**i)
-                for j in range(v + 1):
-                    entry = zeta.POLY_ZERO
-                    for member in craig.phi_p_class(lat, gens, p, j, bounds):
-                        mu = craig.mu_p(lat, gens, p, member, bounds)
-                        e = valuation(lattice_index(lat, member), p)
-                        entry = entry + zeta.IntPoly.x_power(e, mu)
-                    if entry != a[i, j]:
-                        bad.append((n, p, i, j))
-    return CheckResult(
-        "tridiagonal matrix from first principles (Moebius sums)",
-        not bad,
-        f"failing: {bad}",
-    )
+        a = zeta.build_A(n, p)
+        lat = _craig_basis(n, p**i)
+        for j in range(a.size):
+            entry = zeta.POLY_ZERO
+            for member in craig.phi_p_class(lat, gens, p, j, bounds):
+                mu = craig.mu_p(lat, gens, p, member, bounds)
+                e = valuation(lattice_index(lat, member), p)
+                entry = entry + zeta.IntPoly.x_power(e, mu)
+            if entry != a[i, j]:
+                bad.append((n, p, i, j))
+    return not bad, f"failing: {bad}"
 
 
-def check_local_series_vs_enumeration(n_max: int, bounds: Bounds, max_exp: int = 6) -> CheckResult:
+@_check("local counting series vs sublattice walk")
+def check_local_series_vs_enumeration(ns, max_exp: int, bounds: Bounds = DEFAULT_BOUNDS):
     bad = []
-    for n in range(2, n_max + 1):
-        gens = specht.craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            for i in range(v + 1):
-                series = zeta.local_factor(n, p, i).series(max_exp)
-                found = craig.enumerate_p_sublattices(_craig_basis(n, p**i), gens, p, max_exp, bounds)
-                counts = [len(found.get(e, [])) for e in range(max_exp + 1)]
-                if series != counts:
-                    bad.append((n, p, i, series, counts))
-    return CheckResult(
-        "local counting series vs sublattice walk", not bad, f"failing: {bad[:3]}"
-    )
+    for n, p, i in _representatives(ns):
+        series = zeta.local_factor(n, p, i).series(max_exp)
+        counts = _walk_counts(_craig_basis(n, p**i), specht.craig_generators(n), p, max_exp, bounds)
+        if series != counts:
+            bad.append((n, p, i, series, counts))
+    return not bad, f"failing: {bad[:3]}"
 
 
-def check_trivial_primes(n_max: int, bounds: Bounds, max_exp: int | None = None) -> CheckResult:
+@_check("inert primes contribute only scalings")
+def check_trivial_primes(ns, bounds: Bounds = DEFAULT_BOUNDS):
+    """Primes p <= 7 not dividing n+1 count like 1/(1 - X^n), up to X^(2n)."""
     bad = []
-    for n in (2, 3, 4, 6):
-        if n > n_max:
-            continue
+    for n in ns:
         gens = specht.craig_generators(n)
-        top = max_exp if max_exp is not None else 2 * n
+        top = 2 * n
         for p in (2, 3, 5, 7):
             if p > n + 1 or (n + 1) % p == 0:
                 continue
-            found = craig.enumerate_p_sublattices(_craig_basis(n, 1), gens, p, top, bounds)
-            counts = [len(found.get(e, [])) for e in range(top + 1)]
-            want = [1 if e % n == 0 else 0 for e in range(top + 1)]
-            if counts != want:
+            counts = _walk_counts(_craig_basis(n, 1), gens, p, top, bounds)
+            if counts != [1 if e % n == 0 else 0 for e in range(top + 1)]:
                 bad.append((n, p, counts))
-    return CheckResult(
-        "inert primes contribute only scalings", not bad, f"failing: {bad}"
-    )
+    return not bad, f"failing: {bad}"
 
 
-def check_euler_product_vs_census(n_max: int, bounds: Bounds, limit: int = 60) -> CheckResult:
+@_check("Euler product coefficients vs exhaustive census")
+def check_euler_product_vs_census(limits: dict[int, int], bounds: Bounds = DEFAULT_BOUNDS):
+    """a(m) for every L(d), m = 1..limits[n]."""
     bad = []
-    for n in range(2, min(n_max, 4) + 1):
+    for n, limit in limits.items():
         gens = specht.craig_generators(n)
         for d in divisors(n + 1):
             z = zeta.global_zeta(n, d)
@@ -357,12 +318,11 @@ def check_euler_product_vs_census(n_max: int, bounds: Bounds, limit: int = 60) -
                 got = zeta.dirichlet_coeff(z, m)
                 if want != got:
                     bad.append((n, d, m, got, want))
-    return CheckResult(
-        "Euler product coefficients vs exhaustive census", not bad, f"failing: {bad[:5]}"
-    )
+    return not bad, f"failing: {bad[:5]}"
 
 
-def check_sum_decomposition(n_max: int) -> CheckResult:
+@_check("stable lattice splits as a sum of coprime scalings")
+def check_sum_decomposition(ns):
     """L(d) is the sum over p | n+1 of c_p L(p^{v_p(d)}) with c_p the p-free part of d.
 
     The coefficients must be p-free at p and divisible enough elsewhere; the
@@ -372,7 +332,7 @@ def check_sum_decomposition(n_max: int) -> CheckResult:
     where that holds.
     """
     bad = []
-    for n in range(2, n_max + 1):
+    for n in ns:
         m = 1
         for k in range(1, n + 2):
             m *= k
@@ -397,52 +357,51 @@ def check_sum_decomposition(n_max: int) -> CheckResult:
                     total = part if total is None else lattice_sum(total, part)
                 if total != _craig_basis(n, d):
                     bad.append((n, d, "factorial coefficients"))
-    return CheckResult(
-        "stable lattice splits as a sum of coprime scalings", not bad, f"failing: {bad}"
-    )
+    return not bad, f"failing: {bad}"
 
 
-def check_specht_identification(n_max: int, bounds: Bounds) -> CheckResult:
+@_check("Specht lattice identification")
+def check_specht_identification(ns, bounds: Bounds = DEFAULT_BOUNDS):
     bad = []
-    for n in range(2, n_max + 1):
+    for n in ns:
         got = specht.identify_specht_lattice(n, bounds)
         if got != n + 1:
             bad.append((n, got))
-    return CheckResult("Specht lattice identification", not bad, f"failing: {bad}")
+    return not bad, f"failing: {bad}"
 
 
-def check_specht_maximal(n_max: int, bounds: Bounds) -> CheckResult:
+@_check("Specht lattice has a unique maximal sublattice of prime index")
+def check_specht_maximal(ns, bounds: Bounds = DEFAULT_BOUNDS):
     bad = []
-    for n in range(2, n_max + 1):
+    for n in ns:
         gens = specht.specht_generators_closed(n)
         lat = LatticeBasis(IntMatrix.identity(n))
         for p in sorted(prime_factorization(n + 1)):
             found = craig.maximal_sublattices_p(lat, gens, p, bounds)
             if len(found) != 1 or lattice_index(lat, found[0]) != p:
                 bad.append((n, p, [lattice_index(lat, f) for f in found]))
-    return CheckResult(
-        "Specht lattice has a unique maximal sublattice of prime index",
-        not bad,
-        f"failing: {bad}",
-    )
+    return not bad, f"failing: {bad}"
 
 
-def arbitration_specht_factor(bounds: Bounds, n_values=(2, 3, 5), max_exp: int = 4) -> dict:
+def check_specht_factor_arbitration(
+    ns, bounds: Bounds = DEFAULT_BOUNDS
+) -> tuple[CheckResult, dict]:
     """Decide between the two candidate shapes of the Specht local polynomial.
 
     Candidate "full": 1 + X + ... + X^v.  Candidate "truncated": stops at
-    X^(v-1).  The sublattice walk on L(n+1) is the arbiter.
+    X^(v-1).  The sublattice walk on L(n+1), up to X^4, is the arbiter.
+    Returns the check and the record of every case.
     """
+    max_exp = 4
     verdicts = []
     consistent_full = True
     consistent_truncated = True
-    for n in n_values:
+    for n in ns:
         gens = specht.craig_generators(n)
         base = _craig_basis(n, n + 1)
         for p in sorted(prime_factorization(n + 1)):
             v = valuation(n + 1, p)
-            found = craig.enumerate_p_sublattices(base, gens, p, max_exp, bounds)
-            counts = [len(found.get(e, [])) for e in range(max_exp + 1)]
+            counts = _walk_counts(base, gens, p, max_exp, bounds)
             full = zeta.LocalFactor(n, zeta.IntPoly((1,) * (v + 1))).series(max_exp)
             truncated = zeta.LocalFactor(n, zeta.IntPoly((1,) * v)).series(max_exp)
             full_ok = counts == full
@@ -459,21 +418,19 @@ def arbitration_specht_factor(bounds: Bounds, n_values=(2, 3, 5), max_exp: int =
                 }
             )
     supported = "full" if consistent_full else ("truncated" if consistent_truncated else "neither")
-    return {
+    record = {
         "full_form": "1 + X + ... + X^v (geometric sum including X^v)",
         "truncated_form": "1 + X + ... + X^(v-1) (stops one term early)",
         "implemented": "full",
         "oracle_supports": supported,
         "cases": verdicts,
     }
-
-
-def check_specht_factor_arbitration(bounds: Bounds, n_max: int) -> tuple[CheckResult, dict]:
-    n_values = tuple(n for n in (2, 3, 5) if n <= n_max) or (2,)
-    record = arbitration_specht_factor(bounds, n_values)
-    ok = record["oracle_supports"] == record["implemented"]
-    detail = f"oracle supports the {record['oracle_supports']} form"
-    return CheckResult("Specht local factor arbitration", ok, detail), record
+    check = CheckResult(
+        "Specht local factor arbitration",
+        supported == record["implemented"],
+        f"oracle supports the {supported} form",
+    )
+    return check, record
 
 
 def _random_unimodular(rng: random.Random, n: int, steps: int = 12) -> IntMatrix:
@@ -491,12 +448,22 @@ def _random_basis(rng: random.Random, n: int) -> LatticeBasis:
         m = IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
         try:
             return LatticeBasis(m)
-        except Exception:
+        except LatticeError:
             continue
 
 
-def check_hnf_unimodular(seed: int, trials: int = 100) -> CheckResult:
-    rng = random.Random(seed)
+def _random_lower_triangular(rng: random.Random, n: int) -> IntMatrix:
+    """Diagonal in 1..3, entries below it in 0..2."""
+    return IntMatrix(
+        [
+            [rng.randint(1, 3) if i == j else (rng.randint(0, 2) if j < i else 0) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+@_check("normal form is unimodular-invariant and idempotent")
+def check_hnf_unimodular(rng: random.Random, trials: int):
     bad = 0
     for _ in range(trials):
         n = rng.randint(2, 5)
@@ -506,37 +473,24 @@ def check_hnf_unimodular(seed: int, trials: int = 100) -> CheckResult:
             bad += 1
         if hnf(lat.hnf) != lat.hnf:
             bad += 1
-    return CheckResult(
-        "normal form is unimodular-invariant and idempotent", bad == 0, f"{bad} failures"
-    )
+    return bad == 0, f"{bad} failures"
 
 
-def check_index_chains(seed: int, trials: int = 60) -> CheckResult:
-    rng = random.Random(seed)
+@_check("index is multiplicative along chains")
+def check_index_chains(rng: random.Random, trials: int):
     bad = 0
     for _ in range(trials):
         n = rng.randint(2, 4)
         a = _random_basis(rng, n)
-        def _tri() -> IntMatrix:
-            return IntMatrix(
-                [
-                    [
-                        rng.randint(1, 3) if i == j else (rng.randint(0, 2) if j < i else 0)
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            )
-        fb, fc = _tri(), _tri()
-        b = LatticeBasis(a.basis * fb)
-        c = LatticeBasis(b.basis * fc)
+        b = LatticeBasis(a.basis * _random_lower_triangular(rng, n))
+        c = LatticeBasis(b.basis * _random_lower_triangular(rng, n))
         if lattice_index(a, c) != lattice_index(a, b) * lattice_index(b, c):
             bad += 1
-    return CheckResult("index is multiplicative along chains", bad == 0, f"{bad} failures")
+    return bad == 0, f"{bad} failures"
 
 
-def check_absorption(seed: int, trials: int = 60) -> CheckResult:
-    rng = random.Random(seed)
+@_check("sum and intersection absorption laws")
+def check_absorption(rng: random.Random, trials: int):
     bad = 0
     for _ in range(trials):
         n = rng.randint(2, 4)
@@ -548,35 +502,28 @@ def check_absorption(seed: int, trials: int = 60) -> CheckResult:
         meet = lattice_intersect(a, b)
         if not (is_sublattice(meet, a) and is_sublattice(meet, b)):
             bad += 1
-    return CheckResult("sum and intersection absorption laws", bad == 0, f"{bad} failures")
+    return bad == 0, f"{bad} failures"
 
 
-def check_coefficient_multiplicativity(seed: int, trials: int = 100) -> CheckResult:
-    rng = random.Random(seed)
+@_check("coefficients multiplicative on coprime indices")
+def check_coefficient_multiplicativity(rng: random.Random, trials: int, m_max: int):
+    """a(m1 m2) = a(m1) a(m2) for random coprime m1, m2 <= m_max."""
     bad = 0
-    from math import gcd
-
     for _ in range(trials):
         n = rng.choice([2, 3, 4, 5])
         d = rng.choice(divisors(n + 1))
         z = zeta.global_zeta(n, d)
         while True:
-            m1, m2 = rng.randint(1, 60), rng.randint(1, 60)
+            m1, m2 = rng.randint(1, m_max), rng.randint(1, m_max)
             if gcd(m1, m2) == 1:
                 break
         if zeta.dirichlet_coeff(z, m1 * m2) != zeta.dirichlet_coeff(z, m1) * zeta.dirichlet_coeff(z, m2):
             bad += 1
-    return CheckResult(
-        "coefficients multiplicative on coprime indices", bad == 0, f"{bad} failures"
-    )
+    return bad == 0, f"{bad} failures"
 
 
-def _run_guarded(name: str, thunk) -> CheckResult:
-    """A crashing check is a failing check, not a crashed battery."""
-    try:
-        return thunk()
-    except Exception as exc:
-        return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
+def _ns(n_max: int) -> range:
+    return range(2, n_max + 1)
 
 
 def run_verification(
@@ -585,62 +532,36 @@ def run_verification(
     """Run the whole cross-check battery up to the given module dimension."""
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    battery = [
-        ("Coxeter relations (standard coordinates)", lambda: check_coxeter_standard(n_max)),
-        ("Coxeter relations (Specht coordinates)", lambda: check_coxeter_specht(max(n_max, 10))),
-        ("Specht action: closed rule vs polytabloid oracle", lambda: check_specht_oracle(n_max, bounds)),
-        ("transposition character equals 2 - n", lambda: check_character_traces(n_max)),
-        ("stability of L(d) exactly for divisors of n+1", lambda: check_stability_classification(n_max)),
-        (
-            "scaled-lattice closed forms (inclusion, intersection, index formula)",
-            lambda: check_scaled_closed_forms(min(n_max, 6), 3 if n_max >= 6 else 4),
-        ),
-        ("maximal sublattice classification", lambda: check_maximal_sublattices(n_max, bounds)),
-        ("radical closed form", lambda: check_radical(n_max, bounds)),
-        ("radical interval contents", lambda: check_radical_interval(n_max, bounds)),
-        (
-            "radical interval split by isomorphism class",
-            lambda: check_radical_interval_classes(n_max, bounds),
-        ),
-        (
-            "every p-power sublattice is a scaled representative (and conversely)",
-            lambda: check_p_power_classification(min(n_max, 6), bounds),
-        ),
-        ("counting-series matrix inversion identity", lambda: check_inversion(max(n_max, 10))),
-        ("local factor equals row sum of partial series", lambda: check_row_sums(max(n_max, 10))),
-        (
-            "tridiagonal matrix from first principles (Moebius sums)",
-            lambda: check_tridiagonal_from_moebius(min(n_max, 7), bounds),
-        ),
-        (
-            "local counting series vs sublattice walk",
-            lambda: check_local_series_vs_enumeration(min(n_max, 6), bounds),
-        ),
-        ("inert primes contribute only scalings", lambda: check_trivial_primes(n_max, bounds)),
-        (
-            "Euler product coefficients vs exhaustive census",
-            lambda: check_euler_product_vs_census(n_max, bounds),
-        ),
-        (
-            "stable lattice splits as a sum of coprime scalings",
-            lambda: check_sum_decomposition(min(n_max, 6)),
-        ),
-        ("Specht lattice identification", lambda: check_specht_identification(n_max, bounds)),
-        (
-            "Specht lattice has a unique maximal sublattice of prime index",
-            lambda: check_specht_maximal(n_max, bounds),
-        ),
-        ("normal form is unimodular-invariant and idempotent", lambda: check_hnf_unimodular(seed)),
-        ("index is multiplicative along chains", lambda: check_index_chains(seed + 1)),
-        ("sum and intersection absorption laws", lambda: check_absorption(seed + 2)),
-        (
-            "coefficients multiplicative on coprime indices",
-            lambda: check_coefficient_multiplicativity(seed + 3),
-        ),
+    checks = [
+        check_coxeter_standard(_ns(n_max)),
+        check_coxeter_specht(_ns(max(n_max, 10))),
+        check_specht_oracle(_ns(min(n_max, bounds.polytabloid_max_n)), bounds),
+        check_character_traces(_ns(n_max)),
+        check_stability_classification(_ns(n_max)),
+        check_scaled_closed_forms(_ns(min(n_max, 6)), 3 if n_max >= 6 else 4),
+        check_maximal_sublattices(_ns(n_max), bounds),
+        check_radical(_ns(n_max), bounds),
+        check_radical_interval(_ns(n_max), bounds),
+        check_radical_interval_classes(_ns(n_max), bounds),
+        check_p_power_classification(_ns(min(n_max, 6)), 5, bounds),
+        check_inversion(_ns(max(n_max, 10))),
+        check_row_sums(_ns(max(n_max, 10))),
+        check_tridiagonal_from_moebius(_ns(min(n_max, 7)), bounds),
+        check_local_series_vs_enumeration(_ns(min(n_max, 6)), 6, bounds),
+        check_trivial_primes([n for n in (2, 3, 4, 6) if n <= n_max], bounds),
+        check_euler_product_vs_census({n: 60 for n in _ns(min(n_max, 4))}, bounds),
+        check_sum_decomposition(_ns(min(n_max, 6))),
+        check_specht_identification(_ns(n_max), bounds),
+        check_specht_maximal(_ns(n_max), bounds),
+        check_hnf_unimodular(random.Random(seed), 100),
+        check_index_chains(random.Random(seed + 1), 60),
+        check_absorption(random.Random(seed + 2), 60),
+        check_coefficient_multiplicativity(random.Random(seed + 3), 100, 60),
     ]
-    checks = [_run_guarded(name, thunk) for name, thunk in battery]
     try:
-        arb_check, arb_record = check_specht_factor_arbitration(bounds, n_max)
+        arb_check, arb_record = check_specht_factor_arbitration(
+            [n for n in (2, 3, 5) if n <= n_max], bounds
+        )
     except Exception as exc:
         arb_check = CheckResult(
             "Specht local factor arbitration", False, f"raised {type(exc).__name__}: {exc}"

@@ -240,10 +240,6 @@ def local_factor(n: int, p: int, i: int) -> LocalFactor:
     return LocalFactor(n, _factor_numerator(n, v, i))
 
 
-def series_expand(factor: LocalFactor, max_exp: int) -> list[int]:
-    return factor.series(max_exp)
-
-
 def theorem_factor(n: int, p: int, d: int) -> IntPoly:
     """Polynomial correction at p for the lattice L(d) in the Euler product."""
     v = valuation(n + 1, p)
@@ -252,6 +248,19 @@ def theorem_factor(n: int, p: int, d: int) -> IntPoly:
     if (n + 1) % d:
         raise ZetaError("not-a-lattice: d must divide n+1")
     return _factor_numerator(n, v, valuation(d, p))
+
+
+def _terms(poly: IntPoly, p: int, times: str, power: str) -> list[str]:
+    """The nonzero terms c (p^j)^(-s) of one local polynomial, as text.
+
+    `times` separates a coefficient other than 1 from its power, and `power`
+    is a format string that receives p^j.
+    """
+    return [
+        str(c) if j == 0 else ("" if c == 1 else f"{c}{times}") + power.format(p**j)
+        for j, c in enumerate(poly.coeffs)
+        if c
+    ]
 
 
 @dataclass(frozen=True)
@@ -287,35 +296,18 @@ class GlobalZeta:
         }
 
     def to_latex(self) -> str:
-        parts = [f"\\zeta_{{\\mathbf{{Q}}}}({self.n}s)"]
-        for p, poly in self.local_factors:
-            terms = []
-            for j, c in enumerate(poly.coeffs):
-                if c == 0:
-                    continue
-                if j == 0:
-                    terms.append(str(c))
-                else:
-                    base = p**j
-                    prefix = "" if c == 1 else f"{c}\\cdot "
-                    terms.append(f"{prefix}{base}^{{-s}}")
-            parts.append("\\,(" + "+".join(terms) + ")")
-        return "".join(parts)
+        factors = (
+            "\\,(" + "+".join(_terms(poly, p, "\\cdot ", "{}^{{-s}}")) + ")"
+            for p, poly in self.local_factors
+        )
+        return f"\\zeta_{{\\mathbf{{Q}}}}({self.n}s)" + "".join(factors)
 
     def to_text(self) -> str:
-        parts = [f"zeta_Q({self.n}s)"]
-        for p, poly in self.local_factors:
-            terms = []
-            for j, c in enumerate(poly.coeffs):
-                if c == 0:
-                    continue
-                if j == 0:
-                    terms.append(str(c))
-                else:
-                    prefix = "" if c == 1 else f"{c}*"
-                    terms.append(f"{prefix}{p ** j}^(-s)")
-            parts.append("(" + " + ".join(terms) + ")")
-        return " * ".join(parts)
+        factors = (
+            "(" + " + ".join(_terms(poly, p, "*", "{}^(-s)")) + ")"
+            for p, poly in self.local_factors
+        )
+        return " * ".join([f"zeta_Q({self.n}s)", *factors])
 
 
 def global_zeta(n: int, d: int) -> GlobalZeta:

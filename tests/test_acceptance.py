@@ -1,387 +1,142 @@
 """Acceptance gate: every closed formula against its independent brute-force check.
 
-Each test prints one pass/fail line.  Grids and tolerances are fixed here;
-everything is exact integer arithmetic, so "tolerance" always means equality.
+Each criterion runs checks of the `hookzeta verify` battery on fixed grids,
+mostly larger than the battery's own, and prints one pass/fail line.
+Everything is exact integer arithmetic, so "tolerance" always means equality;
+the time gates bound the wall time of a criterion's checks.
 """
 
 import random
 import time
 
-import pytest
-
-from hookzeta.arith import divisors, is_prime, prime_factorization, valuation
-from hookzeta.bounds import DEFAULT_BOUNDS
-from hookzeta.craig import (
-    ScaledCraigLattice,
-    classify_sublattice,
-    craig_lattice,
-    enumerate_index_sublattices,
-    enumerate_p_sublattices,
-    is_g_stable,
-    maximal_sublattices_p,
-    phi_p,
-    phi_p_class,
-    rad_p,
-    scaled_inclusion,
-    scaled_index,
-    scaled_intersect,
-    scaled_lattice_basis,
-)
-from hookzeta.exactmat import (
-    IntMatrix,
-    LatticeBasis,
-    hnf,
-    is_sublattice,
-    lattice_index,
-    lattice_intersect,
-)
-from hookzeta.specht import (
-    craig_generators,
-    identify_specht_lattice,
-    specht_generators_closed,
-    specht_generators_oracle,
-    verify_coxeter,
-)
-from hookzeta.verify import arbitration_specht_factor
-from hookzeta.zeta import (
-    IntPoly,
-    build_A,
-    build_B,
-    dirichlet_coeff,
-    global_zeta,
-    local_factor,
-    specht_zeta,
-    verify_inverse,
-)
+from hookzeta import verify
+from hookzeta.arith import valuation
+from hookzeta.zeta import IntPoly, specht_zeta
 
 
-def report(num, passed, text):
+def report(num, summary, run, seconds=None):
+    """Run the checks, print one line, and fail on a failing check or a blown time gate."""
+    t0 = time.time()
+    checks = run()
+    elapsed = time.time() - t0
+    failures = [f"{c.name}: {c.detail}" for c in checks if not c.passed]
+    passed = not failures and (seconds is None or elapsed < seconds)
+    text = f"{summary}, {elapsed:.1f}s" + (f"; failures {failures}" if failures else "")
     print(f"[acceptance {num}] {'PASS' if passed else 'FAIL'} - {text}")
     assert passed, text
 
 
-def scaled(n, p, a, b):
-    return scaled_lattice_basis(n, ScaledCraigLattice(p, a, b))
-
-
 def test_criterion_1_euler_product_vs_census():
     """Closed-form coefficients equal exhaustive sublattice counts."""
-    t0 = time.time()
-    mismatches = []
-    grids = {2: 200, 3: 200, 4: 64, 5: 64}
-    for n, limit in grids.items():
-        gens = craig_generators(n)
-        for d in divisors(n + 1):
-            base = craig_lattice(n, d).basis
-            z = global_zeta(n, d)
-            for m in range(1, limit + 1):
-                got = dirichlet_coeff(z, m)
-                want = len(enumerate_index_sublattices(base, gens, m))
-                if got != want:
-                    mismatches.append((n, d, m, got, want))
-    elapsed = time.time() - t0
     report(
         1,
-        not mismatches and elapsed < 300,
-        f"coefficients match census for n=2..5 (m up to 200/64), {elapsed:.1f}s"
-        + (f"; mismatches {mismatches[:5]}" if mismatches else ""),
+        "coefficients match census for n=2..5 (m up to 200/64)",
+        lambda: [verify.check_euler_product_vs_census({2: 200, 3: 200, 4: 64, 5: 64})],
+        seconds=300,
     )
 
 
 def test_criterion_2_local_series_vs_walk():
     """Local factor series equal per-exponent counts from the sublattice walk."""
-    t0 = time.time()
-    mismatches = []
-    for n in range(2, 7):
-        gens = craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            for i in range(valuation(n + 1, p) + 1):
-                series = local_factor(n, p, i).series(8)
-                found = enumerate_p_sublattices(craig_lattice(n, p**i).basis, gens, p, 8)
-                counts = [len(found[e]) for e in range(9)]
-                if series != counts:
-                    mismatches.append((n, p, i, series, counts))
-    elapsed = time.time() - t0
     report(
         2,
-        not mismatches and elapsed < 60,
-        f"local series match walk counts for n=2..6 up to exponent 8, {elapsed:.1f}s"
-        + (f"; mismatches {mismatches[:3]}" if mismatches else ""),
+        "local series match walk counts for n=2..6 up to exponent 8",
+        lambda: [verify.check_local_series_vs_enumeration(range(2, 7), 8)],
+        seconds=60,
     )
 
 
 def test_criterion_3_inversion_identity():
     """The tridiagonal matrix inverts the partial-series matrix exactly."""
-    bad = []
-    for n in range(2, 11):
-        for p in sorted(prime_factorization(n + 1)):
-            if not verify_inverse(build_A(n, p), build_B(n, p), n):
-                bad.append((n, p))
-    report(3, not bad, "inversion identity exact for all n <= 10 and p | n+1")
+    report(
+        3,
+        "inversion identity exact for all n <= 10 and p | n+1",
+        lambda: [verify.check_inversion(range(2, 11))],
+    )
 
 
 def test_criterion_4_structure_lemmas():
     """Closed forms for inclusion/intersection/index and the radical machinery."""
-    mismatches = []
-    for n in range(2, 9):
-        for p in sorted(prime_factorization(n + 1)):
-            cache = {
-                (a, b): scaled(n, p, a, b) for a in range(5) for b in range(5)
-            }
-            for a in range(5):
-                for b in range(5):
-                    for a2 in range(5):
-                        for b2 in range(5):
-                            x = ScaledCraigLattice(p, a, b)
-                            y = ScaledCraigLattice(p, a2, b2)
-                            lx, ly = cache[(a, b)], cache[(a2, b2)]
-                            if scaled_inclusion(x, y) != is_sublattice(lx, ly):
-                                mismatches.append(("inclusion", n, p, a, b, a2, b2))
-                            meet = scaled_intersect(x, y)
-                            if cache[(meet.a, meet.b)] != lattice_intersect(lx, ly):
-                                mismatches.append(("intersection", n, p, a, b, a2, b2))
-                            if scaled_inclusion(x, y) and p ** scaled_index(n, y, x) != lattice_index(ly, lx):
-                                mismatches.append(("index", n, p, a, b, a2, b2))
-    for n in range(2, 9):
-        gens = craig_generators(n)
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            for i in range(v + 1):
-                lat = craig_lattice(n, p**i).basis
-                got_max = set(maximal_sublattices_p(lat, gens, p))
-                if i == 0:
-                    want_max = {scaled(n, p, 0, 1)}
-                elif i == v:
-                    want_max = {scaled(n, p, 1, i - 1)}
-                else:
-                    want_max = {scaled(n, p, 0, i + 1), scaled(n, p, 1, i - 1)}
-                if got_max != want_max:
-                    mismatches.append(("maximal", n, p, i))
-                got_rad = rad_p(lat, gens, p)
-                want_rad = (
-                    scaled(n, p, 0, 1)
-                    if i == 0
-                    else scaled(n, p, 1, i - 1) if i == v else scaled(n, p, 1, i)
-                )
-                if got_rad != want_rad:
-                    mismatches.append(("radical", n, p, i))
-                got_phi = set(phi_p(lat, gens, p))
-                if i == 0:
-                    want_phi = {craig_lattice(n, 1).basis, scaled(n, p, 0, 1)}
-                elif i == v:
-                    want_phi = {scaled(n, p, 1, i - 1), scaled(n, p, 0, i)}
-                else:
-                    want_phi = {
-                        scaled(n, p, 1, i - 1),
-                        scaled(n, p, 0, i),
-                        scaled(n, p, 1, i),
-                        scaled(n, p, 0, i + 1),
-                    }
-                if got_phi != want_phi:
-                    mismatches.append(("interval", n, p, i))
-                for j in range(v + 1):
-                    got_cls = set(phi_p_class(lat, gens, p, j))
-                    if i == 0:
-                        want_cls = (
-                            {craig_lattice(n, 1).basis}
-                            if j == 0
-                            else {scaled(n, p, 0, 1)} if j == 1 else set()
-                        )
-                    elif i == v:
-                        if j == v - 1:
-                            want_cls = {scaled(n, p, 1, v - 1)}
-                        elif j == v:
-                            want_cls = {scaled(n, p, 0, v)}
-                        else:
-                            want_cls = set()
-                    else:
-                        if j == i - 1:
-                            want_cls = {scaled(n, p, 1, i - 1)}
-                        elif j == i:
-                            want_cls = {scaled(n, p, 0, i), scaled(n, p, 1, i)}
-                        elif j == i + 1:
-                            want_cls = {scaled(n, p, 0, i + 1)}
-                        else:
-                            want_cls = set()
-                    if got_cls != want_cls:
-                        mismatches.append(("classes", n, p, i, j))
+    ns = range(2, 9)
     report(
         4,
-        not mismatches,
-        "closed forms and radical machinery exact for n <= 8"
-        + (f"; first failures {mismatches[:5]}" if mismatches else ""),
+        "closed forms and radical machinery exact for n <= 8",
+        lambda: [
+            verify.check_scaled_closed_forms(ns, 4),
+            verify.check_maximal_sublattices(ns),
+            verify.check_radical(ns),
+            verify.check_radical_interval(ns),
+            verify.check_radical_interval_classes(ns),
+        ],
     )
 
 
 def test_criterion_5_stability_classification():
     """Stability happens exactly at divisors; every walked sublattice classifies."""
-    bad = []
-    for n in range(2, 9):
-        gens = craig_generators(n)
-        for d in range(1, 2 * (n + 1) + 1):
-            if is_g_stable(craig_lattice(n, d).basis, gens) != ((n + 1) % d == 0):
-                bad.append(("stability", n, d))
-    for n in range(2, 9):
-        gens = craig_generators(n)
-        max_exp = 6 if n <= 5 else 4
-        for p in sorted(prime_factorization(n + 1)):
-            v = valuation(n + 1, p)
-            found = enumerate_p_sublattices(craig_lattice(n, 1).basis, gens, p, max_exp)
-            seen = set()
-            for e, lats in found.items():
-                for lat in lats:
-                    try:
-                        a, b = classify_sublattice(lat, n, p)
-                    except Exception:
-                        bad.append(("classify", n, p, e))
-                        continue
-                    if b > v or a * n + b * (n - 1) != e or scaled(n, p, a, b) != lat:
-                        bad.append(("classify", n, p, e, (a, b)))
-                    seen.add((a, b))
-            expected = {
-                (a, b)
-                for a in range(max_exp + 1)
-                for b in range(v + 1)
-                if a * n + b * (n - 1) <= max_exp
-            }
-            if seen != expected:
-                bad.append(("completeness", n, p))
     report(
         5,
-        not bad,
-        "stability criterion and sublattice classification exact for n <= 8"
-        + (f"; failures {bad[:5]}" if bad else ""),
+        "stability criterion and sublattice classification exact for n <= 8",
+        lambda: [
+            verify.check_stability_classification(range(2, 9)),
+            verify.check_p_power_classification(range(2, 6), 6),
+            verify.check_p_power_classification(range(6, 9), 4),
+        ],
     )
 
 
 def test_criterion_6_inert_primes():
     """Primes not dividing n+1 contribute only scalar sublattices."""
-    bad = []
-    for n in (2, 3, 4, 6):
-        gens = craig_generators(n)
-        for p in (2, 3, 5, 7):
-            if not is_prime(p) or p > n + 1 or (n + 1) % p == 0:
-                continue
-            top = 2 * n
-            found = enumerate_p_sublattices(craig_lattice(n, 1).basis, gens, p, top)
-            counts = [len(found[e]) for e in range(top + 1)]
-            want = [1 if e % n == 0 else 0 for e in range(top + 1)]
-            if counts != want:
-                bad.append((n, p, counts))
     report(
         6,
-        not bad,
-        "inert primes count like 1/(1 - X^n) for n in {2,3,4,6}"
-        + (f"; failures {bad}" if bad else ""),
+        "inert primes count like 1/(1 - X^n) for n in {2,3,4,6}",
+        lambda: [verify.check_trivial_primes((2, 3, 4, 6))],
     )
 
 
 def test_criterion_7_specht_results():
     """Closed Specht action, its identification, and its maximal sublattices."""
-    t0 = time.time()
-    bad = []
-    for n in range(2, 6):
-        if specht_generators_closed(n).mats != specht_generators_oracle(n).mats:
-            bad.append(("oracle", n))
-    for n in range(2, 11):
-        if not verify_coxeter(specht_generators_closed(n)):
-            bad.append(("coxeter", n))
-    for n in range(2, 9):
-        if identify_specht_lattice(n) != n + 1:
-            bad.append(("identify", n))
-    for n in range(2, 9):
-        gens = specht_generators_closed(n)
-        lat = LatticeBasis(IntMatrix.identity(n))
-        for p in sorted(prime_factorization(n + 1)):
-            found = maximal_sublattices_p(lat, gens, p)
-            if len(found) != 1 or lattice_index(lat, found[0]) != p:
-                bad.append(("maximal", n, p))
-    elapsed = time.time() - t0
     report(
         7,
-        not bad and elapsed < 120,
-        f"Specht action, identification, and unique maximal sublattice exact, {elapsed:.1f}s"
-        + (f"; failures {bad}" if bad else ""),
+        "Specht action, identification, and unique maximal sublattice exact",
+        lambda: [
+            verify.check_specht_oracle(range(2, 6)),
+            verify.check_coxeter_specht(range(2, 11)),
+            verify.check_specht_identification(range(2, 9)),
+            verify.check_specht_maximal(range(2, 9)),
+        ],
+        seconds=120,
     )
 
 
 def test_criterion_8_erratum_arbitration():
     """The sublattice walk on L(n+1) decides the shape of the Specht factor."""
-    record = arbitration_specht_factor(DEFAULT_BOUNDS, (2, 3, 5))
-    ok = record["oracle_supports"] == "full" and record["implemented"] == "full"
-    for n in (2, 3, 5):
-        z = specht_zeta(n)
-        for p, poly in z.local_factors:
-            if poly != IntPoly((1,) * (valuation(n + 1, p) + 1)):
-                ok = False
+
+    def run():
+        check, record = verify.check_specht_factor_arbitration((2, 3, 5))
+        full = record["oracle_supports"] == "full" and all(
+            poly == IntPoly((1,) * (valuation(n + 1, p) + 1))
+            for n in (2, 3, 5)
+            for p, poly in specht_zeta(n).local_factors
+        )
+        return [check, verify.CheckResult("Specht zeta is the full geometric sum", full)]
+
     report(
         8,
-        ok,
         "walk on L(n+1) supports the full geometric sum; the implementation and the "
         "verify report record it (truncated alternative rejected)",
+        run,
     )
 
 
 def test_criterion_9_property_suite():
     """Seeded randomized properties: multiplicativity, normal-form invariance, chains."""
     rng = random.Random(20240809)
-    bad = []
-    from math import gcd
-
-    for _ in range(100):
-        n = rng.choice([2, 3, 4, 5])
-        d = rng.choice(divisors(n + 1))
-        z = global_zeta(n, d)
-        while True:
-            m1, m2 = rng.randint(1, 80), rng.randint(1, 80)
-            if gcd(m1, m2) == 1:
-                break
-        if dirichlet_coeff(z, m1 * m2) != dirichlet_coeff(z, m1) * dirichlet_coeff(z, m2):
-            bad.append(("multiplicativity", n, d, m1, m2))
-
-    def random_nonsingular(size):
-        while True:
-            m = IntMatrix([[rng.randint(-6, 6) for _ in range(size)] for _ in range(size)])
-            try:
-                return LatticeBasis(m)
-            except Exception:
-                continue
-
-    for _ in range(100):
-        size = rng.randint(2, 5)
-        lat = random_nonsingular(size)
-        rows = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        for _ in range(12):
-            i, j = rng.sample(range(size), 2)
-            c = rng.randint(-3, 3)
-            for r in range(size):
-                rows[r][j] += c * rows[r][i]
-        if hnf(lat.basis * IntMatrix(rows)) != lat.hnf:
-            bad.append(("hnf-invariance", size))
-
-    for _ in range(100):
-        size = rng.randint(2, 4)
-        a = random_nonsingular(size)
-
-        def shrink(base):
-            f = IntMatrix(
-                [
-                    [
-                        rng.randint(1, 3) if i == j else (rng.randint(0, 2) if j < i else 0)
-                        for j in range(size)
-                    ]
-                    for i in range(size)
-                ]
-            )
-            return LatticeBasis(base.basis * f)
-
-        b = shrink(a)
-        c = shrink(b)
-        if lattice_index(a, c) != lattice_index(a, b) * lattice_index(b, c):
-            bad.append(("chain", size))
     report(
         9,
-        not bad,
-        "100-trial seeded properties all exact"
-        + (f"; failures {bad[:5]}" if bad else ""),
+        "100-trial seeded properties all exact",
+        lambda: [
+            verify.check_coefficient_multiplicativity(rng, 100, 80),
+            verify.check_hnf_unimodular(rng, 100),
+            verify.check_index_chains(rng, 100),
+        ],
     )

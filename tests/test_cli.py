@@ -208,6 +208,37 @@ class TestVerifyCommand:
         assert "[pass]" in out
         assert "overall: pass" in out
 
+    def test_report_names_the_checks_in_order(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n-max", "2", "--format", "json")
+        assert code == 0
+        assert [c["name"] for c in json.loads(out)["checks"]] == [
+            "Coxeter relations (standard coordinates)",
+            "Coxeter relations (Specht coordinates)",
+            "Specht action: closed rule vs polytabloid oracle",
+            "transposition character equals 2 - n",
+            "stability of L(d) exactly for divisors of n+1",
+            "scaled-lattice closed forms (inclusion, intersection, index formula)",
+            "maximal sublattice classification",
+            "radical closed form",
+            "radical interval contents",
+            "radical interval split by isomorphism class",
+            "every p-power sublattice is a scaled representative (and conversely)",
+            "counting-series matrix inversion identity",
+            "local factor equals row sum of partial series",
+            "tridiagonal matrix from first principles (Moebius sums)",
+            "local counting series vs sublattice walk",
+            "inert primes contribute only scalings",
+            "Euler product coefficients vs exhaustive census",
+            "stable lattice splits as a sum of coprime scalings",
+            "Specht lattice identification",
+            "Specht lattice has a unique maximal sublattice of prime index",
+            "normal form is unimodular-invariant and idempotent",
+            "index is multiplicative along chains",
+            "sum and intersection absorption laws",
+            "coefficients multiplicative on coprime indices",
+            "Specht local factor arbitration",
+        ]
+
     def test_mutation_fails_naming_the_relations(self, capsys, monkeypatch):
         from hookzeta import verify as verify_mod
         from hookzeta.exactmat import IntMatrix

@@ -19,6 +19,9 @@ from hookzeta.craig import (
     scaled_index,
     scaled_intersect,
     scaled_lattice_basis,
+    scaled_maximal_sublattices,
+    scaled_radical,
+    scaled_radical_interval,
     _all_submodules,
     _residue_action,
     _word_submodules,
@@ -36,6 +39,10 @@ from hookzeta.specht import RepGenerators, craig_generators, specht_generators_c
 
 def scaled(n, p, a, b):
     return scaled_lattice_basis(n, ScaledCraigLattice(p, a, b))
+
+
+def realized(n, family):
+    return {scaled_lattice_basis(n, x) for x in family}
 
 
 class TestCraigLattice:
@@ -120,13 +127,20 @@ class TestMaximalSublattices:
         v = valuation(n + 1, p)
         for i in range(v + 1):
             got = maximal_sublattices_p(craig_lattice(n, p**i).basis, gens, p)
-            if i == 0:
-                want = {scaled(n, p, 0, 1)}
-            elif i == v:
-                want = {scaled(n, p, 1, i - 1)}
-            else:
-                want = {scaled(n, p, 0, i + 1), scaled(n, p, 1, i - 1)}
-            assert set(got) == want
+            assert set(got) == realized(n, scaled_maximal_sublattices(n, p, i))
+
+    def test_closed_form_n7_p2(self):
+        # v = 3: one maximal sublattice at both ends, two in between
+        want = {0: [(0, 1)], 1: [(0, 2), (1, 0)], 2: [(0, 3), (1, 1)], 3: [(1, 2)]}
+        for i, pairs in want.items():
+            got = scaled_maximal_sublattices(7, 2, i)
+            assert [(x.a, x.b) for x in got] == pairs
+            assert all(x.p == 2 for x in got)
+
+    def test_closed_form_needs_a_representative(self):
+        for n, p, i in ((4, 2, 0), (7, 2, 4), (7, 2, -1), (7, 4, 1)):
+            with pytest.raises(ValueError):
+                scaled_maximal_sublattices(n, p, i)
 
     def test_middle_case_indices(self):
         # two maximal sublattices with indices p^(n-1) and p
@@ -208,13 +222,7 @@ class TestRadical:
         v = valuation(n + 1, p)
         for i in range(v + 1):
             got = rad_p(craig_lattice(n, p**i).basis, gens, p)
-            if i == 0:
-                want = scaled(n, p, 0, 1)
-            elif i == v:
-                want = scaled(n, p, 1, i - 1)
-            else:
-                want = scaled(n, p, 1, i)
-            assert got == want
+            assert got == scaled_lattice_basis(n, scaled_radical(n, p, i))
 
 
 class TestRadicalInterval:
@@ -224,18 +232,7 @@ class TestRadicalInterval:
         v = valuation(n + 1, p)
         for i in range(v + 1):
             got = set(phi_p(craig_lattice(n, p**i).basis, gens, p))
-            if i == 0:
-                want = {craig_lattice(n, 1).basis, scaled(n, p, 0, 1)}
-            elif i == v:
-                want = {scaled(n, p, 1, i - 1), scaled(n, p, 0, i)}
-            else:
-                want = {
-                    scaled(n, p, 1, i - 1),
-                    scaled(n, p, 0, i),
-                    scaled(n, p, 1, i),
-                    scaled(n, p, 0, i + 1),
-                }
-            assert got == want
+            assert got == realized(n, scaled_radical_interval(n, p, i))
 
     def test_class_filter_examples(self):
         gens = craig_generators(3)

@@ -19,7 +19,6 @@ from hookzeta.zeta import (
     dirichlet_coeff,
     global_zeta,
     local_factor,
-    series_expand,
     specht_zeta,
     theorem_factor,
     verify_inverse,
@@ -146,8 +145,8 @@ class TestLocalFactor:
             local_factor(3, 2, 3)
 
     def test_series_examples(self):
-        assert series_expand(LocalFactor(3, IntPoly((1, 1, 1))), 6) == [1] * 7
-        assert series_expand(LocalFactor(3, IntPoly((1, 0, 1, 0, 1))), 6) == [1, 0, 1, 1, 1, 1, 1]
+        assert LocalFactor(3, IntPoly((1, 1, 1))).series(6) == [1] * 7
+        assert LocalFactor(3, IntPoly((1, 0, 1, 0, 1))).series(6) == [1, 0, 1, 1, 1, 1, 1]
 
     def test_trivial_factor_series(self):
         for n in (2, 3, 5):
@@ -201,6 +200,11 @@ class TestGlobalZeta:
             (2, IntPoly((1, 0, 0, 0, 1))),
             (3, IntPoly((1, 0, 0, 0, 1))),
         )
+
+    def test_renderings_of_a_coefficient_two_term(self):
+        z = GlobalZeta(3, 1, 3, ((2, IntPoly((1, 2))), (3, IntPoly((1, 0, 1)))))
+        assert z.to_text() == "zeta_Q(3s) * (1 + 2*2^(-s)) * (1 + 9^(-s))"
+        assert z.to_latex() == "\\zeta_{\\mathbf{Q}}(3s)\\,(1+2\\cdot 2^{-s})\\,(1+9^{-s})"
 
     def test_invalid_divisor(self):
         with pytest.raises(ZetaError, match="not-a-lattice"):
