@@ -61,6 +61,7 @@ from .zeta import (
     build_A,
     build_B,
     dirichlet_coeff,
+    dirichlet_coeffs,
     global_zeta,
     local_factor,
     specht_zeta,

@@ -55,7 +55,7 @@ def cmd_coeffs(args) -> int:
     if args.limit < 1:
         raise ZetaInputError("limit must be at least 1")
     z = zeta.global_zeta(args.n, args.d)
-    table = [[m, zeta.dirichlet_coeff(z, m)] for m in range(1, args.limit + 1)]
+    table = [[m, a] for m, a in enumerate(zeta.dirichlet_coeffs(z, args.limit), start=1)]
     if args.format == "text":
         for m, a in table:
             print(f"{m}\t{a}")

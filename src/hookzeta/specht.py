@@ -316,7 +316,7 @@ def intertwiner(a: RepGenerators, b: RepGenerators) -> IntMatrix:
     return p
 
 
-def identify_specht_lattice(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> int:
+def identify_specht_lattice(n: int) -> int:
     """Locate the Specht lattice among the stable lattices of the standard coordinates.
 
     Maps the Specht basis lattice through the intertwiner into standard

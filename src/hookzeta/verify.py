@@ -361,10 +361,10 @@ def check_sum_decomposition(ns):
 
 
 @_check("Specht lattice identification")
-def check_specht_identification(ns, bounds: Bounds = DEFAULT_BOUNDS):
+def check_specht_identification(ns):
     bad = []
     for n in ns:
-        got = specht.identify_specht_lattice(n, bounds)
+        got = specht.identify_specht_lattice(n)
         if got != n + 1:
             bad.append((n, got))
     return not bad, f"failing: {bad}"
@@ -551,7 +551,7 @@ def run_verification(
         check_trivial_primes([n for n in (2, 3, 4, 6) if n <= n_max], bounds),
         check_euler_product_vs_census({n: 60 for n in _ns(min(n_max, 4))}, bounds),
         check_sum_decomposition(_ns(min(n_max, 6))),
-        check_specht_identification(_ns(n_max), bounds),
+        check_specht_identification(_ns(n_max)),
         check_specht_maximal(_ns(n_max), bounds),
         check_hnf_unimodular(random.Random(seed), 100),
         check_index_chains(random.Random(seed + 1), 60),

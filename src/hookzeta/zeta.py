@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_nth_power, prime_factorization, valuation
-from .bounds import DEFAULT_BOUNDS, Bounds
 from .specht import identify_specht_lattice
 
 
@@ -322,7 +321,7 @@ def global_zeta(n: int, d: int) -> GlobalZeta:
     return GlobalZeta(n=n, d=d, riemann_exponent=n, local_factors=factors)
 
 
-def specht_zeta(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> GlobalZeta:
+def specht_zeta(n: int) -> GlobalZeta:
     """Zeta function of the Specht basis lattice.
 
     The lattice is located in the stable family first (it lands at d = n+1),
@@ -330,7 +329,7 @@ def specht_zeta(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> GlobalZeta:
     v the multiplicity of p in n+1.  The shorter sum stopping at X^(v-1) is
     ruled out by the enumeration oracle: see the verification report.
     """
-    d = identify_specht_lattice(n, bounds)
+    d = identify_specht_lattice(n)
     return global_zeta(n, d)
 
 
@@ -348,3 +347,21 @@ def dirichlet_coeff(z: GlobalZeta, m: int) -> int:
         if m % u == 0 and is_nth_power(m // u, z.riemann_exponent):
             total += c
     return total
+
+
+def dirichlet_coeffs(z: GlobalZeta, limit: int) -> list[int]:
+    """The table [a(1), ..., a(limit)], from one expansion of the Euler product.
+
+    Each correction term c_u adds c_u to a(u x^n) for every x with
+    u x^n <= limit; dirichlet_coeff is the same sum taken one index at a time.
+    """
+    if limit < 1:
+        raise ZetaError("limit must be positive")
+    n = z.riemann_exponent
+    table = [0] * (limit + 1)
+    for u, c in z.dirichlet_terms().items():
+        x = 1
+        while (m := u * x**n) <= limit:
+            table[m] += c
+            x += 1
+    return table[1:]

@@ -10,6 +10,7 @@ from hookzeta import cli
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import matrix_to_json
 from hookzeta.specht import craig_generators
+from hookzeta.zeta import dirichlet_coeff, global_zeta
 
 
 def run(capsys, *argv):
@@ -51,6 +52,13 @@ class TestCoeffsCommand:
         assert code == 0
         table = json.loads(out)
         assert table == [[m, 1 if m in (1, 3, 4, 9, 12) else 0] for m in range(1, 13)]
+
+    def test_output_bytes_match_the_per_index_table(self, capsys):
+        code, out, _ = run(capsys, "coeffs", "--n", "3", "--d", "4", "--limit", "500")
+        assert code == 0
+        z = global_zeta(3, 4)
+        table = [[m, dirichlet_coeff(z, m)] for m in range(1, 501)]
+        assert out == json.dumps(table, indent=2, sort_keys=True) + "\n"
 
     def test_small_limit(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "1", "--limit", "2")

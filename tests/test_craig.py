@@ -369,6 +369,15 @@ class TestIndexCensus:
                     slow = enumerate_index_sublattices_naive(lat, gens, m)
                     assert fast == slow, (n, d, m)
 
+    def test_clearing_a_result_leaves_later_calls_whole(self):
+        lat = craig_lattice(3, 1).basis
+        gens = craig_generators(3)
+        first = enumerate_index_sublattices(lat, gens, 216)
+        kept = list(first)
+        assert kept
+        first.clear()
+        assert enumerate_index_sublattices(lat, gens, 216) == kept
+
     def test_all_results_have_right_index_and_stability(self):
         gens = craig_generators(3)
         lat = craig_lattice(3, 2).basis

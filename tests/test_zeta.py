@@ -17,6 +17,7 @@ from hookzeta.zeta import (
     build_A,
     build_B,
     dirichlet_coeff,
+    dirichlet_coeffs,
     global_zeta,
     local_factor,
     specht_zeta,
@@ -253,6 +254,17 @@ class TestDirichletCoeff:
         assert dirichlet_coeff(z, 2) == 0
         nonzero = [m for m in range(1, 13) if dirichlet_coeff(z, m)]
         assert nonzero == [1, 3, 4, 9, 12]
+
+    def test_table_equals_per_index_coefficients(self):
+        for n in range(2, 9):
+            for d in (x for x in range(1, n + 2) if (n + 1) % x == 0):
+                z = global_zeta(n, d)
+                want = [dirichlet_coeff(z, m) for m in range(1, 3001)]
+                assert dirichlet_coeffs(z, 3000) == want, (n, d)
+
+    def test_table_needs_a_positive_limit(self):
+        with pytest.raises(ZetaError):
+            dirichlet_coeffs(global_zeta(2, 1), 0)
 
     def test_multiplicative_on_coprime_pairs(self):
         rng = random.Random(2024)
