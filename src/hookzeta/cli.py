@@ -2,7 +2,8 @@
 
 Subcommands: zeta, coeffs, enumerate, identify, verify, specht.
 Exit codes: 0 success, 1 verification or identification failure (or a reader
-that closed standard output early), 2 bad or unreadable input.
+that closed standard output early), 2 bad or unreadable input, or a
+computation above a configured bound.
 """
 
 from __future__ import annotations

@@ -201,14 +201,27 @@ def is_g_stable(lattice: LatticeBasis, gens) -> bool:
     return all(action_in_basis(lattice, m) is not None for m in gens.mats)
 
 
+def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
+    """The generators written in the lattice's basis, as row tuples."""
+    rows = []
+    for m in gens.mats:
+        a = action_in_basis(lattice, m)
+        if a is None:
+            raise LatticeError("lattice is not stable under the given action")
+        rows.append(a.entries)
+    return tuple(rows)
+
+
 # ---------------------------------------------------------------------------
 # Submodules of the residue module L/pL by spinning.
 #
 # A subspace is canonicalized as the tuple of rows of its reduced row echelon
-# basis over F_p.  Spinning closes a single vector under the generator action;
-# every submodule is a join of such cyclic submodules, so closing a family of
-# cyclic submodules that contains a generating set of every submodule under
-# sums enumerates the full submodule lattice.
+# basis over F_p (`_echelon`): the join of two subspaces is the echelon form of
+# their rows together, and `small` lies in `big` exactly when adding its rows
+# leaves `big` unchanged.  Spinning closes a single vector under the generator
+# action; every submodule is a join of such cyclic submodules, so closing a
+# family of cyclic submodules that contains a generating set of every
+# submodule under sums enumerates the full submodule lattice.
 #
 # The exhaustive family spins every line of F_p^n, which costs p^n spins.  A
 # group-algebra word B whose characteristic polynomial chi is squarefree needs
@@ -249,7 +262,11 @@ def _rref_insert(basis: list[tuple[int, list[int]]], vec: list[int], p: int) -> 
     return True
 
 
-def _subspace_key(basis: list[tuple[int, list[int]]]) -> tuple[tuple[int, ...], ...]:
+def _echelon(rows, p: int) -> tuple[tuple[int, ...], ...]:
+    """The canonical key of the span of rows over F_p: its reduced echelon basis."""
+    basis: list[tuple[int, list[int]]] = []
+    for row in rows:
+        _rref_insert(basis, list(row), p)
     return tuple(tuple(row) for _, row in basis)
 
 
@@ -272,7 +289,7 @@ def _spin(vec, action_rows, p: int, n: int):
                 if len(basis) == n:
                     return None
                 queue.append(img)
-    return _subspace_key(basis)
+    return tuple(tuple(row) for _, row in basis)
 
 
 def _projective_reps(n: int, p: int):
@@ -283,27 +300,17 @@ def _projective_reps(n: int, p: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _join(a, b, p: int, n: int):
-    basis: list[tuple[int, list[int]]] = []
-    for row in a:
-        _rref_insert(basis, list(row), p)
-    for row in b:
-        _rref_insert(basis, list(row), p)
-    return _subspace_key(basis)
-
-
-def _submodules_from_spins(vectors, action_mats, p: int, n: int):
+def _submodules_from_spins(vectors, action, p: int, n: int):
     """Spin each vector and close the cyclic submodules under joins.
 
     Returns every submodule when each submodule is a join of spins of the
     given vectors, as canonical echelon keys, together with the key of the
     whole space.
     """
-    action_rows = [tuple(m.entries) for m in action_mats]
-    full = _subspace_key([(i, [1 if j == i else 0 for j in range(n)]) for i in range(n)])
+    full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     cyclic = set()
     for vec in vectors:
-        key = _spin(vec, action_rows, p, n)
+        key = _spin(vec, action, p, n)
         cyclic.add(full if key is None else key)
     subs = set(cyclic)
     subs.add(())
@@ -313,7 +320,7 @@ def _submodules_from_spins(vectors, action_mats, p: int, n: int):
         new = []
         for a in frontier:
             for b in cyclic:
-                j = _join(a, b, p, n)
+                j = _echelon(a + b, p)
                 if j not in subs:
                     subs.add(j)
                     new.append(j)
@@ -321,9 +328,9 @@ def _submodules_from_spins(vectors, action_mats, p: int, n: int):
     return subs, full
 
 
-def _all_submodules(action_mats, p: int, n: int):
+def _all_submodules(action, p: int, n: int):
     """Every action-invariant subspace of F_p^n, by spinning every line."""
-    return _submodules_from_spins(_projective_reps(n, p), action_mats, p, n)
+    return _submodules_from_spins(_projective_reps(n, p), action, p, n)
 
 
 def _mat_mul_mod(a, b, p: int) -> list[list[int]]:
@@ -333,19 +340,24 @@ def _mat_mul_mod(a, b, p: int) -> list[list[int]]:
 
 def _nullspace_mod(rows, p: int, n: int) -> list[list[int]]:
     """A basis of the vectors v in F_p^n with row . v = 0 for every row."""
-    basis: list[tuple[int, list[int]]] = []
-    for row in rows:
-        _rref_insert(basis, list(row), p)
-    pivots = {pos for pos, _ in basis}
+    basis = {next(i for i, x in enumerate(row) if x): row for row in _echelon(rows, p)}
     out = []
     for free in range(n):
-        if free not in pivots:
+        if free not in basis:
             v = [0] * n
             v[free] = 1
-            for pos, row in basis:
+            for pos, row in basis.items():
                 v[pos] = -row[free] % p
             out.append(v)
     return out
+
+
+def _meet(keys, p: int, n: int):
+    """The intersection of subspaces: the annihilator of their summed annihilators.
+
+    The empty intersection is the whole space.
+    """
+    return _echelon(_nullspace_mod([u for k in keys for u in _nullspace_mod(k, p, n)], p, n), p)
 
 
 # Polynomials over F_p are coefficient lists, constant term first, with no
@@ -477,7 +489,7 @@ def _poly_at_matrix(f: list[int], mat: list[list[int]], p: int) -> list[list[int
     return out
 
 
-def _word_submodules(action_mats, p: int, n: int):
+def _word_submodules(action, p: int, n: int):
     """Every submodule, from one spin per irreducible factor of chi.
 
     chi is the characteristic polynomial of the first prefix product
@@ -485,55 +497,37 @@ def _word_submodules(action_mats, p: int, n: int):
     None when there is no such product.
     """
     word = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for m in action_mats:
-        word = _mat_mul_mod(word, m.entries, p)
+    for rows in action:
+        word = _mat_mul_mod(word, rows, p)
         chi = _charpoly_mod(word, p)
         if _is_squarefree(chi, p):
             kernels = [
                 _nullspace_mod(_poly_at_matrix(f, word, p), p, n)[0] for f in _berlekamp(chi, p)
             ]
-            return _submodules_from_spins(kernels, action_mats, p, n)
+            return _submodules_from_spins(kernels, action, p, n)
     return None
 
 
-def _submodules_for_action(action_mats, p: int, n: int, bounds: Bounds):
+def _submodules_for_action(action, p: int, n: int, bounds: Bounds):
     if p**n > bounds.spinning_max_order:
         raise ScaleError("spinning-scale-exceeded: residue module is too large")
-    found = _word_submodules(action_mats, p, n)
-    return _all_submodules(action_mats, p, n) if found is None else found
+    found = _word_submodules(action, p, n)
+    return _all_submodules(action, p, n) if found is None else found
 
 
-def _residue_action(lattice: LatticeBasis, gens, p: int) -> list[IntMatrix]:
-    acts = []
-    for m in gens.mats:
-        a = action_in_basis(lattice, m)
-        if a is None:
-            raise LatticeError("lattice is not stable under the given action")
-        acts.append(IntMatrix([[x % p for x in row] for row in a.entries]))
-    return acts
+def _residue_action(lattice: LatticeBasis, gens, p: int) -> tuple:
+    """The action on L/pL: the conjugated action rows reduced mod p."""
+    return tuple(
+        tuple(tuple(x % p for x in row) for row in rows)
+        for rows in _conjugated_action_rows(lattice, gens)
+    )
 
 
 def _lift_subspace(lattice: LatticeBasis, key, p: int) -> LatticeBasis:
     """The lattice between pL and L whose image mod p is the given subspace."""
-    n = lattice.dim
-    cols = [list(lattice.hnf.apply(row)) for row in key]
-    for j in range(n):
-        cols.append([p * x for x in lattice.hnf.column(j)])
-    h = hnf(IntMatrix.from_columns(cols))
-    return LatticeBasis(h)
-
-
-def _subspace_contains(big, small, p: int) -> bool:
-    basis = [(next(i for i, x in enumerate(row) if x), list(row)) for row in big]
-    for row in small:
-        v = list(row)
-        for pos, brow in basis:
-            c = v[pos]
-            if c:
-                v = [(x - c * y) % p for x, y in zip(v, brow)]
-        if any(v):
-            return False
-    return True
+    cols = [lattice.hnf.apply(row) for row in key]
+    cols += [[p * x for x in lattice.hnf.column(j)] for j in range(lattice.dim)]
+    return LatticeBasis(hnf(IntMatrix.from_columns(cols)))
 
 
 def _sorted_lattices(lats) -> list[LatticeBasis]:
@@ -541,18 +535,19 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
 
 
 def _residue_submodules(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
-    """The submodules of L/pL and the maximal proper ones, from one spin."""
+    """The submodules of L/pL, the maximal proper ones and the radical, as F_p keys.
+
+    The stable lattices between pL and L are the lifts of these submodules,
+    and lifting preserves inclusion and intersection.
+    """
     _require_prime(p)
     n = lattice.dim
-    acts = _residue_action(lattice, gens, p)
-    subs, full = _submodules_for_action(acts, p, n, bounds)
+    subs, full = _submodules_for_action(_residue_action(lattice, gens, p), p, n, bounds)
     proper = [s for s in subs if s != full]
     maximal = [
-        s
-        for s in proper
-        if not any(len(o) > len(s) and _subspace_contains(o, s, p) for o in proper)
+        s for s in proper if not any(len(o) > len(s) and _echelon(o + s, p) == o for o in proper)
     ]
-    return subs, maximal
+    return subs, maximal, _meet(maximal, p, n)
 
 
 def maximal_sublattices_p(
@@ -572,22 +567,7 @@ def maximal_sublattices_p(
 
 def rad_p(lattice: LatticeBasis, gens, p: int, bounds: Bounds = DEFAULT_BOUNDS) -> LatticeBasis:
     """Intersection of all maximal stable sublattices above pL."""
-    return reduce(lattice_intersect, maximal_sublattices_p(lattice, gens, p, bounds))
-
-
-def _phi_and_maximal(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
-    """phi_p and the maximal stable sublattices above pL, from one spin."""
-    n = lattice.dim
-    subs, maximal_keys = _residue_submodules(lattice, gens, p, bounds)
-    maximal = _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal_keys)
-    radical = reduce(lattice_intersect, maximal)
-    coords = solve_in_lattice(lattice.hnf, radical.hnf)
-    rad_rows: list[tuple[int, list[int]]] = []
-    for j in range(n):
-        _rref_insert(rad_rows, [coords.entries[i][j] % p for i in range(n)], p)
-    rad_key = _subspace_key(rad_rows)
-    chosen = [s for s in subs if _subspace_contains(s, rad_key, p)]
-    return _sorted_lattices(_lift_subspace(lattice, s, p) for s in chosen), maximal
+    return _lift_subspace(lattice, _residue_submodules(lattice, gens, p, bounds)[2], p)
 
 
 def phi_p(
@@ -598,7 +578,9 @@ def phi_p(
     These are the invariant subspaces of L/pL containing the image of the
     radical, lifted back to lattices.
     """
-    return _phi_and_maximal(lattice, gens, p, bounds)[0]
+    subs, _, radical = _residue_submodules(lattice, gens, p, bounds)
+    above = [s for s in subs if _echelon(s + radical, p) == s]
+    return _sorted_lattices(_lift_subspace(lattice, s, p) for s in above)
 
 
 def phi_p_class(
@@ -623,18 +605,18 @@ def mu_p(
     Sums (-1)^|J| over subsets J of the maximal sublattices whose intersection
     is exactly `target`; the empty intersection is the lattice itself.
     """
-    interval, maximal = _phi_and_maximal(lattice, gens, p, bounds)
-    if target not in set(interval):
+    subs, maximal, radical = _residue_submodules(lattice, gens, p, bounds)
+    above = [s for s in subs if _echelon(s + radical, p) == s]
+    key = {_lift_subspace(lattice, s, p): s for s in above}.get(target)
+    if key is None:
         raise LatticeError("lattice lies outside the radical interval")
-    total = 0
-    for size in range(len(maximal) + 1):
-        for subset in combinations(maximal, size):
-            cur = lattice
-            for m in subset:
-                cur = lattice_intersect(cur, m)
-            if cur == target:
-                total += (-1) ** size
-    return total
+    n = lattice.dim
+    return sum(
+        (-1) ** size
+        for size in range(len(maximal) + 1)
+        for subset in combinations(maximal, size)
+        if _meet(subset, p, n) == key
+    )
 
 
 def enumerate_p_sublattices(
@@ -770,16 +752,6 @@ def _stable_triangular_bases(action_rows: tuple, p: int, k: int, n: int) -> tupl
         walk(0, (), ())
 
     return tuple(results)
-
-
-def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
-    rows = []
-    for m in gens.mats:
-        a = action_in_basis(lattice, m)
-        if a is None:
-            raise LatticeError("lattice is not stable under the given action")
-        rows.append(a.entries)
-    return tuple(rows)
 
 
 def _stable_sublattices_prime_power(

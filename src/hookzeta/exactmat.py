@@ -14,6 +14,7 @@ identical matrices.
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -390,10 +391,21 @@ def matrix_to_json(m: IntMatrix) -> dict:
     }
 
 
-def matrix_from_json(obj: dict) -> IntMatrix:
-    rows, cols = obj["rows"], obj["cols"]
-    entries = [[int(x) for x in row] for row in obj["entries"]]
-    m = IntMatrix(entries)
+def _int_from_json(x) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, str) and re.fullmatch(r"[+-]?[0-9]+", x):
+        return int(x)
+    raise MatrixError(f"matrix entries must be integers or decimal strings, got {x!r}")
+
+
+def matrix_from_json(obj) -> IntMatrix:
+    """Read the wire format; entries are integers or decimal-integer strings."""
+    try:
+        rows, cols = obj["rows"], obj["cols"]
+        m = IntMatrix([[_int_from_json(x) for x in row] for row in obj["entries"]])
+    except (TypeError, KeyError):
+        raise MatrixError("a matrix is an object with rows, cols and entry rows") from None
     if (m.rows, m.cols) != (rows, cols):
         raise MatrixError("declared shape does not match entries")
     return m

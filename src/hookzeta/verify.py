@@ -20,7 +20,7 @@ from math import gcd
 
 from . import craig, specht, zeta
 from .arith import divisors, prime_factorization, valuation
-from .bounds import DEFAULT_BOUNDS, Bounds
+from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from .exactmat import (
     IntMatrix,
     LatticeBasis,
@@ -46,7 +46,8 @@ class CheckResult:
 def _check(name: str):
     """Turn a body returning (passed, detail) into the named check.
 
-    A crashing check is a failing check, not a crashed battery.
+    A crashing check is a failing check, not a crashed battery; a tripped
+    bound is neither, and propagates to the caller.
     """
 
     def decorate(body):
@@ -54,6 +55,8 @@ def _check(name: str):
         def check(*args, **kwargs) -> CheckResult:
             try:
                 passed, detail = body(*args, **kwargs)
+            except ScaleError:
+                raise
             except Exception as exc:
                 return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
             return CheckResult(name, passed, detail)
@@ -562,6 +565,8 @@ def run_verification(
         arb_check, arb_record = check_specht_factor_arbitration(
             [n for n in (2, 3, 5) if n <= n_max], bounds
         )
+    except ScaleError:
+        raise
     except Exception as exc:
         arb_check = CheckResult(
             "Specht local factor arbitration", False, f"raised {type(exc).__name__}: {exc}"

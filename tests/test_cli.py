@@ -159,6 +159,18 @@ class TestIdentifyCommand:
         assert err.startswith("error: ")
         assert str(missing) in err
 
+    @pytest.mark.parametrize(
+        "blob",
+        [[[1, 0], [0, 1]], {"rows": 2, "cols": 2, "entries": [[1.7, 0], [0, 1]]}],
+    )
+    def test_malformed_json_exits_two(self, capsys, tmp_path, blob):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(blob))
+        code, out, err = run(capsys, "identify", "--file", str(path), "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestClosedPipe:
     def test_reader_closing_early_leaves_no_traceback(self):
@@ -306,6 +318,13 @@ class TestBoundOverrides:
         )
         assert code == 2
         assert "spinning" in err
+
+    def test_tripped_spin_bound_stops_verify(self, capsys):
+        code, out, err = run(capsys, "--bound-spin", "5", "verify", "--n-max", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: spinning-scale-exceeded")
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

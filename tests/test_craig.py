@@ -1,3 +1,6 @@
+from functools import reduce
+from itertools import combinations
+
 import pytest
 
 from hookzeta.arith import divisors, prime_factorization, valuation
@@ -43,6 +46,16 @@ def scaled(n, p, a, b):
 
 def realized(n, family):
     return {scaled_lattice_basis(n, x) for x in family}
+
+
+def integer_moebius(lattice, maximal, target):
+    """Sum (-1)^|J| over subsets J of `maximal` meeting in `target`, by lattice_intersect."""
+    return sum(
+        (-1) ** size
+        for size in range(len(maximal) + 1)
+        for subset in combinations(maximal, size)
+        if reduce(lattice_intersect, subset, lattice) == target
+    )
 
 
 class TestCraigLattice:
@@ -187,6 +200,36 @@ class TestResidueSubmodules:
         lat = craig_lattice(n, 1).basis
         assert _word_submodules(_residue_action(lat, gens, p), p, n) is None
         assert len(maximal_sublattices_p(lat, gens, p)) == (p**n - 1) // (p - 1)
+
+    def test_fallback_interval_is_the_subspace_lattice(self):
+        # Identity generators: every subspace of F_2^3 is a submodule, and the
+        # Moebius value at codimension k is (-1)^k 2^(k(k-1)/2).
+        n, p = 3, 2
+        gens = RepGenerators(n, (IntMatrix.identity(n),) * n)
+        lat = craig_lattice(n, 1).basis
+        members = phi_p(lat, gens, p)
+        assert len(members) == 16
+        assert rad_p(lat, gens, p) == lat.scale(2)
+        values = []
+        for member in members:
+            k = valuation(lattice_index(lat, member), p)
+            values.append(mu_p(lat, gens, p, member))
+            assert values[-1] == (-1) ** k * 2 ** (k * (k - 1) // 2)
+        assert sorted(values) == [-8] + [-1] * 7 + [1] + [2] * 7
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_fp_radical_and_moebius_match_integer_intersections(self, n):
+        # Every L(p^i) and the Specht lattice at each p | n+1, against the
+        # intersections of the lifted maximal sublattices.
+        for p in sorted(prime_factorization(n + 1)):
+            v = valuation(n + 1, p)
+            pairs = [(craig_lattice(n, p**i).basis, craig_generators(n)) for i in range(v + 1)]
+            pairs.append((LatticeBasis(IntMatrix.identity(n)), specht_generators_closed(n)))
+            for lat, gens in pairs:
+                maximal = maximal_sublattices_p(lat, gens, p)
+                assert rad_p(lat, gens, p) == reduce(lattice_intersect, maximal), (n, p)
+                for member in phi_p(lat, gens, p):
+                    assert mu_p(lat, gens, p, member) == integer_moebius(lat, maximal, member)
 
 
 class TestPrimeValidation:

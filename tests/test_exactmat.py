@@ -87,6 +87,27 @@ class TestIntMatrix:
         assert blob["entries"][0][0] == str(10**30)
         assert matrix_from_json(blob) == a
 
+    def test_json_accepts_integers_and_decimal_strings(self):
+        blob = {"rows": 1, "cols": 3, "entries": [[3, "-4", "+5"]]}
+        assert matrix_from_json(blob) == IntMatrix([[3, -4, 5]])
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            [[1, 0], [0, 1]],
+            {"rows": 2, "cols": 2},
+            {"rows": 2, "cols": 2, "entries": 5},
+            {"rows": 2, "cols": 2, "entries": [[1.7, 0], [0, 1]]},
+            {"rows": 2, "cols": 2, "entries": [[True, 0], [0, 1]]},
+            {"rows": 2, "cols": 2, "entries": [["1.0", "0"], ["0", "1"]]},
+            {"rows": 2, "cols": 2, "entries": [[" 1", "0"], ["0", "1"]]},
+            {"rows": 2, "cols": 2, "entries": [[None, 0], [0, 1]]},
+        ],
+    )
+    def test_json_rejects_malformed_input(self, blob):
+        with pytest.raises(MatrixError):
+            matrix_from_json(blob)
+
 
 class TestDet:
     def test_identity(self):
