@@ -586,15 +586,8 @@ def phi_p(
 def phi_p_class(
     lattice: LatticeBasis, gens, p: int, j: int, bounds: Bounds = DEFAULT_BOUNDS
 ) -> list[LatticeBasis]:
-    """Members of phi_p isomorphic to L(p^j); isomorphism is a scalar test here."""
-    _require_prime(p)
-    n = lattice.dim
-    target = craig_lattice(n, p**j).basis
-    return [
-        member
-        for member in phi_p(lattice, gens, p, bounds)
-        if is_scalar_multiple(target, member) is not None
-    ]
+    """Members of phi_p isomorphic to L(p^j), named by `identify_stable_lattice`."""
+    return [x for x in phi_p(lattice, gens, p, bounds) if identify_stable_lattice(x) == p**j]
 
 
 def mu_p(
@@ -674,15 +667,17 @@ _LAYER_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
-def _stable_triangular_bases(action_rows: tuple, p: int, k: int, n: int) -> tuple:
-    """All stable canonical triangular bases of index p^k, as column tuples.
+def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeBasis, ...]:
+    """All stable sublattices of index p^k, from their stable triangular bases.
 
-    The walk depends on nothing but its arguments, and the census of every
-    index m walks the layer of each prime power dividing m, so layers are
-    memoized.  The cached value is a tuple of column tuples, which no caller
-    can change.
+    The census of every index m walks the layer of each prime power dividing
+    m, so the finished sublattices are memoized on the caller's own hashable
+    arguments (a lattice hashes on its normal form, a generator family on its
+    matrices).  The action rows are solved once per layer; an unstable base
+    raises LatticeError, which is never cached.  No caller can change a tuple.
     """
-
+    action_rows = _conjugated_action_rows(lattice, gens)
+    n = lattice.dim
     results: list[tuple] = []
 
     for shape in _compositions(k, n):
@@ -751,19 +746,10 @@ def _stable_triangular_bases(action_rows: tuple, p: int, k: int, n: int) -> tupl
 
         walk(0, (), ())
 
-    return tuple(results)
-
-
-def _stable_sublattices_prime_power(
-    lattice: LatticeBasis, action_rows: tuple, p: int, k: int
-) -> list[LatticeBasis]:
-    n = lattice.dim
-    found = _stable_triangular_bases(action_rows, p, k, n)
-    out = []
-    for cols in found:
-        ambient = [lattice.hnf.apply(col) for col in cols]
-        out.append(LatticeBasis(IntMatrix.from_columns(ambient)))
-    return out
+    return tuple(
+        LatticeBasis(IntMatrix.from_columns([lattice.hnf.apply(col) for col in cols]))
+        for cols in results
+    )
 
 
 def enumerate_index_sublattices(
@@ -772,10 +758,12 @@ def enumerate_index_sublattices(
     """All stable sublattices of exactly the given index, canonically sorted.
 
     The census runs prime by prime (a sublattice of composite index is the
-    intersection of its prime-power parts, uniquely) and walks every canonical
-    triangular basis of each prime-power index, keeping the stable ones.  The
-    walk of each layer is memoized per (action, p, k), so a layer shared by
-    many indices is walked once.
+    intersection of its prime-power parts, uniquely): the first prime's layer
+    is taken as it is, and each further layer is intersected with the
+    products so far.  A layer holds the stable sublattices of one prime-power
+    index, memoized per (lattice, generators, p, k) by `_census_layer`, so a
+    layer shared by many indices is walked once.  Every call returns a fresh
+    list.
     """
     if m < 1:
         raise ValueError("index must be positive")
@@ -783,14 +771,13 @@ def enumerate_index_sublattices(
         raise ScaleError("enumeration-scale-exceeded: index above configured bound")
     if m == 1:
         return [lattice]
-    action_rows = _conjugated_action_rows(lattice, gens)
-    partial = [lattice]
+    found = None
     for p, k in sorted(prime_factorization(m).items()):
-        local = _stable_sublattices_prime_power(lattice, action_rows, p, k)
-        if not local:
+        layer = _census_layer(lattice, gens, p, k)
+        if not layer:
             return []
-        partial = [lattice_intersect(x, y) for x in partial for y in local]
-    return _sorted_lattices(partial)
+        found = layer if found is None else [lattice_intersect(x, y) for x in found for y in layer]
+    return _sorted_lattices(found)
 
 
 def _all_triangular_bases(n: int, m: int):
@@ -833,28 +820,19 @@ def enumerate_index_sublattices_naive(
 def classify_sublattice(sub: LatticeBasis, n: int, p: int) -> tuple[int, int]:
     """Write a stable p-power-index sublattice of L(1) as p^a L(p^b).
 
-    The scalar part is the content of the normal form; the primitive part must
-    equal some L(p^b) exactly.  Failure to classify signals a bug (or a
-    non-stable input) and raises.
+    `identify_stable_lattice` names the family member with sub = c L(d); the
+    scale c must be p^a and d must be p^b.  Failure to classify signals a bug
+    (or a non-stable input) and raises.
     """
     _require_prime(p)
-    c = sub.content()
-    a = valuation(c, p) if c > 1 else 0
-    if p**a != c:
-        raise LatticeError("content is not a power of the prime")
-    primitive = (
-        sub
-        if a == 0
-        else LatticeBasis(IntMatrix([[x // p**a for x in row] for row in sub.hnf.entries]))
-    )
-    b = 0
-    while True:
-        candidate = craig_lattice(n, p**b).basis
-        if candidate == primitive:
-            return (a, b)
-        if candidate.determinant() > primitive.determinant():
-            raise LatticeError("sublattice does not match any scaled representative")
-        b += 1
+    d = identify_stable_lattice(sub)
+    if d is None:
+        raise LatticeError("sublattice does not match any scaled representative")
+    c = is_scalar_multiple(craig_lattice(n, d).basis, sub)
+    a, b = valuation(c.numerator, p), valuation(d, p)
+    if c != p**a or d != p**b:
+        raise LatticeError("sublattice is not p^a L(p^b)")
+    return (a, b)
 
 
 def lattices_to_json(lats) -> list[dict]:

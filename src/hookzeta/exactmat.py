@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .arith import content, xgcd
+from .arith import xgcd
 
 
 class MatrixError(ValueError):
@@ -58,14 +58,8 @@ class IntMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.entries)))
 
     def trace(self) -> int:
         if self.rows != self.cols:
@@ -275,20 +269,12 @@ class LatticeBasis:
         self.basis = basis
         self.hnf = h
 
-    @classmethod
-    def standard(cls, n: int) -> "LatticeBasis":
-        return cls(IntMatrix.identity(n))
-
     def determinant(self) -> int:
         """Positive determinant (product of the normal-form pivots)."""
         d = 1
         for i in range(self.dim):
             d *= self.hnf.entries[i][i]
         return d
-
-    def content(self) -> int:
-        """GCD of all normal-form entries; p-power content of scaled lattices."""
-        return content(x for row in self.hnf.entries for x in row)
 
     def contains(self, vec) -> bool:
         return solve_triangular(self.hnf, vec) is not None

@@ -30,7 +30,6 @@ from .exactmat import (
     IntMatrix,
     LatticeBasis,
     LatticeError,
-    matrix_from_json,
     matrix_to_json,
 )
 
@@ -332,7 +331,3 @@ def identify_specht_lattice(n: int) -> int:
 
 def generators_to_json(gens: RepGenerators) -> dict:
     return {"n": gens.n, "generators": [matrix_to_json(m) for m in gens.mats]}
-
-
-def generators_from_json(obj: dict) -> RepGenerators:
-    return RepGenerators(obj["n"], tuple(matrix_from_json(m) for m in obj["generators"]))

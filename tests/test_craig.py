@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from hookzeta import craig
 from hookzeta.arith import divisors, prime_factorization, valuation
 from hookzeta.bounds import Bounds, ScaleError
 from hookzeta.craig import (
@@ -38,6 +39,7 @@ from hookzeta.exactmat import (
     lattice_intersect,
 )
 from hookzeta.specht import RepGenerators, craig_generators, specht_generators_closed
+from hookzeta.zeta import dirichlet_coeff, global_zeta
 
 
 def scaled(n, p, a, b):
@@ -382,6 +384,11 @@ class TestClassify:
         with pytest.raises(LatticeError):
             classify_sublattice(LatticeBasis(IntMatrix([[2, 0], [0, 1]])), 2, 2)
 
+    def test_scale_not_a_power_of_p_rejected(self):
+        # 3 L(2) is a stable family member, but 3 is not a power of 2
+        with pytest.raises(LatticeError):
+            classify_sublattice(craig_lattice(3, 2).basis.scale(3), 3, 2)
+
 
 class TestIndexCensus:
     def test_index_one(self):
@@ -420,6 +427,35 @@ class TestIndexCensus:
         assert kept
         first.clear()
         assert enumerate_index_sublattices(lat, gens, 216) == kept
+
+    def test_repeated_query_solves_nothing(self, monkeypatch):
+        lat = craig_lattice(3, 1).basis
+        first = enumerate_index_sublattices(lat, craig_generators(3), 216)
+        calls = []
+        real = craig.solve_in_lattice
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(craig, "solve_in_lattice", counted)
+        assert enumerate_index_sublattices(lat, craig_generators(3), 216) == first
+        assert calls == []
+
+    def test_layer_key_includes_the_generators(self):
+        # Z^3 is L(1) for the standard action and the Specht lattice L(4)
+        # for the Specht action; the two censuses differ at m = 2 and m = 54.
+        lat = LatticeBasis(IntMatrix.identity(3))
+        families = {1: craig_generators(3), 4: specht_generators_closed(3)}
+        got = {d: [] for d in families}
+        for m in range(1, 65):
+            for d, gens in families.items():
+                got[d].append(len(enumerate_index_sublattices(lat, gens, m)))
+        for d in families:
+            z = global_zeta(3, d)
+            assert got[d] == [dirichlet_coeff(z, m) for m in range(1, 65)], d
+        assert (got[1][1], got[4][1]) == (0, 1)
+        assert (got[1][53], got[4][53]) == (0, 1)
 
     def test_all_results_have_right_index_and_stability(self):
         gens = craig_generators(3)

@@ -4,13 +4,19 @@ import pytest
 
 from hookzeta.bounds import Bounds, ScaleError
 from hookzeta.craig import craig_lattice
-from hookzeta.exactmat import IntMatrix, LatticeBasis, LatticeError, det, is_scalar_multiple
+from hookzeta.exactmat import (
+    IntMatrix,
+    LatticeBasis,
+    LatticeError,
+    det,
+    is_scalar_multiple,
+    matrix_from_json,
+)
 from hookzeta.specht import (
     HookTableau,
     RepGenerators,
     Tabloid,
     craig_generators,
-    generators_from_json,
     generators_to_json,
     identify_specht_lattice,
     intertwiner,
@@ -165,4 +171,4 @@ class TestSerialization:
         g = craig_generators(3)
         blob = generators_to_json(g)
         assert blob["n"] == 3
-        assert generators_from_json(blob).mats == g.mats
+        assert tuple(matrix_from_json(m) for m in blob["generators"]) == g.mats
