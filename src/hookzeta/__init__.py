@@ -43,6 +43,7 @@ from .specht import (
     HookTableau,
     RepGenerators,
     Tabloid,
+    closed_intertwiner,
     craig_generators,
     identify_specht_lattice,
     intertwiner,

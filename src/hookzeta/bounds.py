@@ -2,7 +2,7 @@
 
 Every potentially explosive computation checks one of these limits and fails
 with a clean ScaleError instead of silently truncating.  The CLI exposes
-overrides for all three.
+an override for each.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ class Bounds:
     # exhaustive fallback spins all (p**n - 1)/(p - 1) lines; the usual path
     # needs at most n spins, but the same bound still applies to it.
     spinning_max_order: int = 1_000_000
+    # Largest n accepted by `hookzeta specht`, whose JSON output grows like
+    # n^3 (n generator matrices of n^2 entries; about 32 MB at n = 128).
+    specht_max_n: int = 128
 
 
 DEFAULT_BOUNDS = Bounds()

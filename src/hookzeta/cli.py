@@ -3,7 +3,8 @@
 Subcommands: zeta, coeffs, enumerate, identify, verify, specht.
 Exit codes: 0 success, 1 verification or identification failure (or a reader
 that closed standard output early), 2 bad or unreadable input, or a
-computation above a configured bound.
+computation above a configured bound (`--bound-*`; `specht --n` above
+`--bound-specht-n` stops before any work).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ def _bounds_from_args(args) -> Bounds:
         polytabloid_max_n=args.bound_oracle_n,
         index_enumeration_max=args.bound_index,
         spinning_max_order=args.bound_spin,
+        specht_max_n=args.bound_specht_n,
     )
 
 
@@ -143,13 +145,15 @@ def cmd_verify(args) -> int:
 
 def cmd_specht(args) -> int:
     bounds = _bounds_from_args(args)
+    if args.n > bounds.specht_max_n:
+        raise ScaleError(f"specht-scale-exceeded: n = {args.n} is above {bounds.specht_max_n}")
     closed = specht.specht_generators_closed(args.n)
     if args.n <= bounds.polytabloid_max_n:
         oracle = specht.specht_generators_oracle(args.n, bounds)
         if oracle.mats != closed.mats:
             print("closed Specht action disagrees with the oracle", file=sys.stderr)
             return 1
-    p = specht.intertwiner(closed, specht.craig_generators(args.n))
+    p = specht.closed_intertwiner(args.n)
     d = craig.identify_stable_lattice(LatticeBasis(p))
     if d is None:
         raise LatticeError("intertwined lattice matches no stable representative")
@@ -178,6 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bound-oracle-n", type=int, default=Bounds.polytabloid_max_n)
     parser.add_argument("--bound-index", type=int, default=Bounds.index_enumeration_max)
     parser.add_argument("--bound-spin", type=int, default=Bounds.spinning_max_order)
+    parser.add_argument("--bound-specht-n", type=int, default=Bounds.specht_max_n)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zeta = sub.add_parser("zeta", help="factored zeta function of L(d)")

@@ -28,7 +28,7 @@ from functools import lru_cache, reduce
 from itertools import combinations, product
 from operator import mul
 
-from .arith import divisors, is_prime, prime_factorization, valuation
+from .arith import content, divisors, is_prime, prime_factorization, valuation
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from .exactmat import (
     IntMatrix,
@@ -180,12 +180,19 @@ def scaled_radical_interval(n: int, p: int, i: int) -> list[ScaledCraigLattice]:
 
 
 def identify_stable_lattice(lattice: LatticeBasis) -> int | None:
-    """The divisor d of n+1 with the lattice a scalar multiple of L(d), or None."""
+    """The divisor d of n+1 with the lattice a scalar multiple of L(d), or None.
+
+    L(d) contains e_n, so its content is 1 and its determinant d^(n-1).  A
+    lattice c L(d) therefore has content c and determinant c^n d^(n-1), which
+    names the one candidate d; comparing normal forms confirms it.
+    """
     n = lattice.dim
-    for d in divisors(n + 1):
-        if is_scalar_multiple(craig_lattice(n, d).basis, lattice) is not None:
-            return d
-    return None
+    c = content(x for row in lattice.hnf.entries for x in row)
+    q = lattice.determinant() // c**n
+    d = next((d for d in divisors(n + 1) if d ** (n - 1) == q), None)
+    if d is None or is_scalar_multiple(craig_lattice(n, d).basis, lattice) is None:
+        return None
+    return d
 
 
 def action_in_basis(lattice: LatticeBasis, mat: IntMatrix) -> IntMatrix | None:

@@ -12,7 +12,9 @@ polytabloids into signed tabloid sums and solves exactly, and a closed
 combinatorial rule that must agree with the oracle before being trusted at
 sizes the oracle cannot reach.  A Schur intertwiner between the two
 realizations locates the Specht lattice among the stable lattices of the
-standard coordinates.
+standard coordinates.  The intertwiner has a closed form
+(`closed_intertwiner`), whose defining equations are checked exactly on every
+call; the exact Fraction solve (`intertwiner`) stays as its oracle.
 """
 
 from __future__ import annotations
@@ -309,20 +311,71 @@ def intertwiner(a: RepGenerators, b: RepGenerators) -> IntMatrix:
     if first < 0:
         ints = [-x for x in ints]
     p = IntMatrix([ints[i * n : (i + 1) * n] for i in range(n)])
+    _intertwines(a, b, p)
+    return p
+
+
+def _nonzeros(vec) -> list[tuple[int, int]]:
+    return [(l, x) for l, x in enumerate(vec) if x]
+
+
+def _combine(terms, vectors, n: int) -> list[int]:
+    """The sum of x * vectors[l] over the (l, x) pairs in terms."""
+    out = [0] * n
+    for l, x in terms:
+        out = [o + x * y for o, y in zip(out, vectors[l])]
+    return out
+
+
+def _intertwines(a: RepGenerators, b: RepGenerators, p: IntMatrix) -> None:
+    """Check b(s_k) P = P a(s_k) exactly for every k; raise LatticeError otherwise.
+
+    Both products are formed from the nonzero generator entries only: row i of
+    b(s_k) P combines the rows of P where row i of b(s_k) is nonzero, and
+    column j of P a(s_k) combines the columns of P where column j of a(s_k) is
+    nonzero.  A standard s_k is -I plus one row of at most three nonzeros, and
+    a closed Specht s_k has one nonzero per column apart from the dense first
+    column of s_1, so each generator costs O(n^2) instead of the n^3 of a
+    dense product.
+    """
+    n = a.n
+    if b.n != n or (p.rows, p.cols) != (n, n):
+        raise LatticeError("generator families and intertwiner have different dimensions")
+    rows = p.entries
+    cols = tuple(zip(*rows))
     for ak, bk in zip(a.mats, b.mats):
-        if bk * p != p * ak:
+        left = [tuple(_combine(_nonzeros(r), rows, n)) for r in bk.entries]
+        right = [_combine(_nonzeros(c), cols, n) for c in zip(*ak.entries)]
+        if left != list(zip(*right)):
             raise LatticeError("intertwiner candidate fails its defining equations")
+
+
+def closed_intertwiner(n: int) -> IntMatrix:
+    """The intertwiner from the closed Specht action to the standard coordinates.
+
+    With 0-based i, j: P[i][j] = (-1)^(i+j) (i+1) for j >= i and
+    P[i][j] = -(-1)^(i+j) (n-i) for j < i.  P[0][0] = 1, so P is primitive with
+    a positive first entry: the matrix `intertwiner` solves for, which stays
+    as the test oracle.  The defining equations are checked exactly on every
+    call.
+    """
+    a, b = specht_generators_closed(n), craig_generators(n)
+    p = IntMatrix(
+        tuple((-1) ** (i + j) * (i + 1 if j >= i else i - n) for j in range(n))
+        for i in range(n)
+    )
+    _intertwines(a, b, p)
     return p
 
 
 def identify_specht_lattice(n: int) -> int:
     """Locate the Specht lattice among the stable lattices of the standard coordinates.
 
-    Maps the Specht basis lattice through the intertwiner into standard
+    Maps the Specht basis lattice through the closed intertwiner into standard
     coordinates and returns the divisor d of n+1 whose lattice L(d) it is a
     scalar multiple of.
     """
-    p = intertwiner(specht_generators_closed(n), craig_generators(n))
+    p = closed_intertwiner(n)
     d = craig.identify_stable_lattice(LatticeBasis(p))
     if d is None:
         raise LatticeError("intertwined lattice matches no stable representative")

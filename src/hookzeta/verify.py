@@ -365,8 +365,12 @@ def check_sum_decomposition(ns):
 
 @_check("Specht lattice identification")
 def check_specht_identification(ns):
+    """The closed intertwiner equals the Fraction solve, and it lands on L(n+1)."""
     bad = []
     for n in ns:
+        solved = specht.intertwiner(specht.specht_generators_closed(n), specht.craig_generators(n))
+        if specht.closed_intertwiner(n) != solved:
+            bad.append((n, "closed intertwiner differs from the solve"))
         got = specht.identify_specht_lattice(n)
         if got != n + 1:
             bad.append((n, got))

@@ -212,6 +212,27 @@ class TestSpechtCommand:
         assert code == 0
         assert json.loads(out)["d"] == 7
 
+    def test_wrong_closed_family_exits_one(self, capsys, monkeypatch):
+        # n = 8 is above the oracle bound, so only the intertwiner check
+        # stands between a wrong closed rule and the output
+        from hookzeta import specht
+        from hookzeta.exactmat import IntMatrix
+
+        real = specht.specht_generators_closed
+
+        def broken(n):
+            gens = real(n)
+            rows = [list(r) for r in gens.mats[0].entries]
+            rows[1][0] = -rows[1][0]
+            return specht.RepGenerators(n, (IntMatrix(rows),) + gens.mats[1:])
+
+        monkeypatch.setattr(specht, "specht_generators_closed", broken)
+        code, out, err = run(capsys, "specht", "--n", "8")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_small_run_passes(self, capsys):
@@ -318,6 +339,29 @@ class TestBoundOverrides:
         )
         assert code == 2
         assert "spinning" in err
+
+    def test_specht_bound_override(self, capsys):
+        code, out, err = run(capsys, "--bound-specht-n", "5", "specht", "--n", "6")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: specht-scale-exceeded")
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, "--bound-specht-n", "6", "specht", "--n", "6")
+        assert code == 0
+        assert json.loads(out)["d"] == 7
+
+    def test_specht_above_default_bound_computes_nothing(self, capsys, monkeypatch):
+        from hookzeta import specht
+
+        def forbidden(n):
+            raise AssertionError("specht computed above its bound")
+
+        monkeypatch.setattr(specht, "specht_generators_closed", forbidden)
+        monkeypatch.setattr(specht, "closed_intertwiner", forbidden)
+        code, out, err = run(capsys, "specht", "--n", "129")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: specht-scale-exceeded")
 
     def test_tripped_spin_bound_stops_verify(self, capsys):
         code, out, err = run(capsys, "--bound-spin", "5", "verify", "--n-max", "2")

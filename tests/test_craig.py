@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from hookzeta.craig import (
     enumerate_index_sublattices,
     enumerate_index_sublattices_naive,
     enumerate_p_sublattices,
+    identify_stable_lattice,
     is_g_stable,
     maximal_sublattices_p,
     mu_p,
@@ -34,6 +36,7 @@ from hookzeta.exactmat import (
     IntMatrix,
     LatticeBasis,
     LatticeError,
+    is_scalar_multiple,
     is_sublattice,
     lattice_index,
     lattice_intersect,
@@ -388,6 +391,42 @@ class TestClassify:
         # 3 L(2) is a stable family member, but 3 is not a power of 2
         with pytest.raises(LatticeError):
             classify_sublattice(craig_lattice(3, 2).basis.scale(3), 3, 2)
+
+
+class TestIdentifyStableLattice:
+    @staticmethod
+    def divisor_loop(lattice):
+        """The oracle: compare the lattice with every L(d), d | n+1."""
+        n = lattice.dim
+        for d in divisors(n + 1):
+            if is_scalar_multiple(craig_lattice(n, d).basis, lattice) is not None:
+                return d
+        return None
+
+    def test_matches_the_divisor_loop(self):
+        rng = random.Random(20261018)
+        lattices = [
+            craig_lattice(n, d).basis.scale(c)
+            for n in range(2, 13)
+            for d in range(1, n + 2)
+            for c in (1, 2, 3, 6)
+        ]
+        while len(lattices) < 600:
+            n = rng.randint(2, 6)
+            m = IntMatrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+            try:
+                lattices.append(LatticeBasis(m))
+            except LatticeError:
+                pass
+        found = [identify_stable_lattice(lat) for lat in lattices]
+        assert found == [self.divisor_loop(lat) for lat in lattices]
+        # every family member is named, and L(d) for d not dividing n+1 is not
+        assert found[: 4 * sum(n + 1 for n in range(2, 13))] == [
+            d if (n + 1) % d == 0 else None
+            for n in range(2, 13)
+            for d in range(1, n + 2)
+            for _ in range(4)
+        ]
 
 
 class TestIndexCensus:

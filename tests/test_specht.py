@@ -3,6 +3,7 @@ from math import factorial
 import pytest
 
 from hookzeta.bounds import Bounds, ScaleError
+from hookzeta.arith import content
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import (
     IntMatrix,
@@ -16,6 +17,8 @@ from hookzeta.specht import (
     HookTableau,
     RepGenerators,
     Tabloid,
+    _intertwines,
+    closed_intertwiner,
     craig_generators,
     generators_to_json,
     identify_specht_lattice,
@@ -158,6 +161,48 @@ class TestIntertwiner:
         assert verify_coxeter(reducible)
         with pytest.raises(LatticeError, match="not-equivalent-or-not-irreducible"):
             intertwiner(craig_generators(2), reducible)
+
+
+class TestClosedIntertwiner:
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_equals_the_solved_intertwiner(self, n):
+        solved = intertwiner(specht_generators_closed(n), craig_generators(n))
+        assert closed_intertwiner(n) == solved
+
+    @pytest.mark.parametrize("n", [*range(2, 13), 32, 64])
+    def test_primitive_with_the_index_of_the_specht_lattice(self, n):
+        # [Z^n : L(n+1)] = (n+1)^(n-1), and the solve normalizes P[0][0] > 0
+        p = closed_intertwiner(n)
+        assert content(x for row in p.entries for x in row) == 1
+        assert p[0, 0] == 1
+        assert abs(det(p)) == (n + 1) ** (n - 1)
+
+    def test_check_rejects_any_changed_entry(self):
+        n = 4
+        a, b = specht_generators_closed(n), craig_generators(n)
+        p = closed_intertwiner(n)
+        _intertwines(a, b, p)
+        for i in range(n):
+            for j in range(n):
+                rows = [list(r) for r in p.entries]
+                rows[i][j] += 1
+                with pytest.raises(LatticeError, match="defining equations"):
+                    _intertwines(a, b, IntMatrix(rows))
+
+    def test_check_rejects_a_swapped_family(self):
+        for n in (2, 5, 9):
+            g = craig_generators(n)
+            _intertwines(g, g, IntMatrix.identity(n))
+            with pytest.raises(LatticeError, match="defining equations"):
+                _intertwines(g, g, closed_intertwiner(n))
+
+    def test_check_rejects_mismatched_dimensions(self):
+        with pytest.raises(LatticeError, match="dimensions"):
+            _intertwines(craig_generators(3), craig_generators(3), IntMatrix.identity(2))
+
+    def test_too_small_rejected(self):
+        with pytest.raises(ValueError):
+            closed_intertwiner(1)
 
 
 class TestIdentifySpechtLattice:
