@@ -66,7 +66,6 @@ from .zeta import (
     global_zeta,
     local_factor,
     specht_zeta,
-    theorem_factor,
     verify_inverse,
 )
 

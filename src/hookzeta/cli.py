@@ -13,21 +13,12 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import craig, specht, verify, zeta
 from .arith import is_prime
 from .bounds import Bounds, ScaleError
-from .exactmat import (
-    LatticeBasis,
-    LatticeError,
-    MatrixError,
-    matrix_from_json,
-    matrix_to_json,
-)
-
-
-class ZetaInputError(ValueError):
-    pass
+from .exactmat import LatticeBasis, LatticeError, matrix_from_json, matrix_to_json
 
 
 def _bounds_from_args(args) -> Bounds:
@@ -40,7 +31,11 @@ def _bounds_from_args(args) -> Bounds:
 
 
 def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # Streamed in batches: bounded memory, and few writes to an unbuffered stdout.
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    while batch := list(islice(chunks, 4096)):
+        sys.stdout.write("".join(batch))
+    print()
 
 
 def cmd_zeta(args) -> int:
@@ -56,7 +51,7 @@ def cmd_zeta(args) -> int:
 
 def cmd_coeffs(args) -> int:
     if args.limit < 1:
-        raise ZetaInputError("limit must be at least 1")
+        raise ValueError("limit must be at least 1")
     z = zeta.global_zeta(args.n, args.d)
     table = [[m, a] for m, a in enumerate(zeta.dirichlet_coeffs(z, args.limit), start=1)]
     if args.format == "text":
@@ -70,7 +65,7 @@ def cmd_coeffs(args) -> int:
 def cmd_enumerate(args) -> int:
     bounds = _bounds_from_args(args)
     if not is_prime(args.prime):
-        raise ZetaInputError("--prime must be a prime number")
+        raise ValueError("--prime must be a prime number")
     if args.prime**args.max_exp > bounds.index_enumeration_max and args.oracle:
         raise ScaleError("enumeration-scale-exceeded: oracle range above configured bound")
     gens = specht.craig_generators(args.n)
@@ -104,9 +99,12 @@ def cmd_enumerate(args) -> int:
 def cmd_identify(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         basis = matrix_from_json(json.load(fh))
-    lat = LatticeBasis(basis)
+    try:
+        lat = LatticeBasis(basis)
+    except LatticeError as exc:
+        raise ValueError(str(exc)) from None
     if lat.dim != args.n:
-        raise ZetaInputError("basis dimension does not match --n")
+        raise ValueError("basis dimension does not match --n")
     gens = specht.craig_generators(args.n)
     if not craig.is_g_stable(lat, gens):
         print("lattice is not stable under the action", file=sys.stderr)
@@ -153,7 +151,7 @@ def cmd_specht(args) -> int:
         if oracle.mats != closed.mats:
             print("closed Specht action disagrees with the oracle", file=sys.stderr)
             return 1
-    p = specht.closed_intertwiner(args.n)
+    p = specht.closed_intertwiner(closed, specht.craig_generators(args.n))
     d = craig.identify_stable_lattice(LatticeBasis(p))
     if d is None:
         raise LatticeError("intertwined lattice matches no stable representative")
@@ -248,7 +246,7 @@ def main(argv=None) -> int:
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (zeta.ZetaError, ZetaInputError, ScaleError, MatrixError, ValueError, OSError) as exc:
+    except (ScaleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

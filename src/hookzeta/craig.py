@@ -542,10 +542,11 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
 
 
 def _residue_submodules(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
-    """The submodules of L/pL, the maximal proper ones and the radical, as F_p keys.
+    """The maximal submodules of L/pL, their meet and the submodules above it.
 
-    The stable lattices between pL and L are the lifts of these submodules,
-    and lifting preserves inclusion and intersection.
+    Returned as F_p keys (maximal, radical, interval).  The stable lattices
+    between pL and L are the lifts of submodules, and lifting preserves
+    inclusion and intersection.
     """
     _require_prime(p)
     n = lattice.dim
@@ -554,7 +555,8 @@ def _residue_submodules(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
     maximal = [
         s for s in proper if not any(len(o) > len(s) and _echelon(o + s, p) == o for o in proper)
     ]
-    return subs, maximal, _meet(maximal, p, n)
+    radical = _meet(maximal, p, n)
+    return maximal, radical, [s for s in subs if _echelon(s + radical, p) == s]
 
 
 def maximal_sublattices_p(
@@ -568,13 +570,13 @@ def maximal_sublattices_p(
     no prefix product of the generators is semisimple.  When the residue
     module is irreducible the only such sublattice is pL itself.
     """
-    maximal = _residue_submodules(lattice, gens, p, bounds)[1]
+    maximal = _residue_submodules(lattice, gens, p, bounds)[0]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal)
 
 
 def rad_p(lattice: LatticeBasis, gens, p: int, bounds: Bounds = DEFAULT_BOUNDS) -> LatticeBasis:
     """Intersection of all maximal stable sublattices above pL."""
-    return _lift_subspace(lattice, _residue_submodules(lattice, gens, p, bounds)[2], p)
+    return _lift_subspace(lattice, _residue_submodules(lattice, gens, p, bounds)[1], p)
 
 
 def phi_p(
@@ -585,9 +587,8 @@ def phi_p(
     These are the invariant subspaces of L/pL containing the image of the
     radical, lifted back to lattices.
     """
-    subs, _, radical = _residue_submodules(lattice, gens, p, bounds)
-    above = [s for s in subs if _echelon(s + radical, p) == s]
-    return _sorted_lattices(_lift_subspace(lattice, s, p) for s in above)
+    interval = _residue_submodules(lattice, gens, p, bounds)[2]
+    return _sorted_lattices(_lift_subspace(lattice, s, p) for s in interval)
 
 
 def phi_p_class(
@@ -605,9 +606,8 @@ def mu_p(
     Sums (-1)^|J| over subsets J of the maximal sublattices whose intersection
     is exactly `target`; the empty intersection is the lattice itself.
     """
-    subs, maximal, radical = _residue_submodules(lattice, gens, p, bounds)
-    above = [s for s in subs if _echelon(s + radical, p) == s]
-    key = {_lift_subspace(lattice, s, p): s for s in above}.get(target)
+    maximal, _, interval = _residue_submodules(lattice, gens, p, bounds)
+    key = {_lift_subspace(lattice, s, p): s for s in interval}.get(target)
     if key is None:
         raise LatticeError("lattice lies outside the radical interval")
     n = lattice.dim

@@ -16,7 +16,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from math import gcd
 
 from .arith import xgcd
 
@@ -81,19 +80,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
 
     __rmul__ = __mul__
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise MatrixError("dimension mismatch in sum")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.entries, other.entries))
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.entries))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.entries == other.entries

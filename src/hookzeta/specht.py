@@ -350,16 +350,16 @@ def _intertwines(a: RepGenerators, b: RepGenerators, p: IntMatrix) -> None:
             raise LatticeError("intertwiner candidate fails its defining equations")
 
 
-def closed_intertwiner(n: int) -> IntMatrix:
-    """The intertwiner from the closed Specht action to the standard coordinates.
+def closed_intertwiner(a: RepGenerators, b: RepGenerators) -> IntMatrix:
+    """The intertwiner from the closed Specht action a to the standard action b.
 
     With 0-based i, j: P[i][j] = (-1)^(i+j) (i+1) for j >= i and
     P[i][j] = -(-1)^(i+j) (n-i) for j < i.  P[0][0] = 1, so P is primitive with
-    a positive first entry: the matrix `intertwiner` solves for, which stays
-    as the test oracle.  The defining equations are checked exactly on every
-    call.
+    a positive first entry: the matrix `intertwiner(a, b)` solves for, which
+    stays as the test oracle.  The defining equations are checked exactly
+    against the given families on every call.
     """
-    a, b = specht_generators_closed(n), craig_generators(n)
+    n = a.n
     p = IntMatrix(
         tuple((-1) ** (i + j) * (i + 1 if j >= i else i - n) for j in range(n))
         for i in range(n)
@@ -375,7 +375,7 @@ def identify_specht_lattice(n: int) -> int:
     coordinates and returns the divisor d of n+1 whose lattice L(d) it is a
     scalar multiple of.
     """
-    p = closed_intertwiner(n)
+    p = closed_intertwiner(specht_generators_closed(n), craig_generators(n))
     d = craig.identify_stable_lattice(LatticeBasis(p))
     if d is None:
         raise LatticeError("intertwined lattice matches no stable representative")

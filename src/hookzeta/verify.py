@@ -4,10 +4,10 @@ Each check is named after the structural fact it exercises, takes its grid
 (the module dimensions n, exponent bounds, census limits, or a seeded random
 source) as parameters, runs exactly, and reports pass or fail.  The
 `hookzeta verify` battery runs every check on grids scaled by --n-max; the
-acceptance suite runs the same checks on larger fixed grids.  The report also
-records which of two candidate shapes of the Specht local factor the
-enumeration supports (they differ by one term, and only one of them counts
-correctly).
+acceptance suite and the unit tests run the same checks on fixed grids.  The
+report also records which of two candidate shapes of the Specht local factor
+the enumeration supports (they differ by one term, and only one of them
+counts correctly).
 """
 
 from __future__ import annotations
@@ -368,8 +368,8 @@ def check_specht_identification(ns):
     """The closed intertwiner equals the Fraction solve, and it lands on L(n+1)."""
     bad = []
     for n in ns:
-        solved = specht.intertwiner(specht.specht_generators_closed(n), specht.craig_generators(n))
-        if specht.closed_intertwiner(n) != solved:
+        a, b = specht.specht_generators_closed(n), specht.craig_generators(n)
+        if specht.closed_intertwiner(a, b) != specht.intertwiner(a, b):
             bad.append((n, "closed intertwiner differs from the solve"))
         got = specht.identify_specht_lattice(n)
         if got != n + 1:

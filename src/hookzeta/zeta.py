@@ -134,15 +134,21 @@ class PolyMatrix:
         return f"PolyMatrix({self.entries!r})"
 
 
+def _local_valuation(n: int, p: int) -> int:
+    """v_p(n+1), the size of the local family minus one; p must divide n+1."""
+    v = valuation(n + 1, p)
+    if v == 0:
+        raise ZetaError("prime must divide n+1")
+    return v
+
+
 def build_A(n: int, p: int) -> PolyMatrix:
     """Tridiagonal matrix inverting the partial counting series, size v+1.
 
     Diagonal: 1 at both ends, 1 + X^n in between; -X on the subdiagonal and
     -X^(n-1) on the superdiagonal.
     """
-    v = valuation(n + 1, p)
-    if v == 0:
-        raise ZetaError("prime must divide n+1")
+    v = _local_valuation(n, p)
     rows = []
     for i in range(v + 1):
         row = []
@@ -165,9 +171,7 @@ def build_B(n: int, p: int) -> PolyMatrix:
     Entry (i, j) counts sublattices of the i-th representative isomorphic to
     the j-th one: X^((j-i)(n-1)) at and above the diagonal, X^(i-j) below.
     """
-    v = valuation(n + 1, p)
-    if v == 0:
-        raise ZetaError("prime must divide n+1")
+    v = _local_valuation(n, p)
     rows = []
     for i in range(v + 1):
         row = []
@@ -231,22 +235,10 @@ def _factor_numerator(n: int, v: int, i: int) -> IntPoly:
 
 def local_factor(n: int, p: int, i: int) -> LocalFactor:
     """Counting series of the lattice L(p^i) at its own prime."""
-    v = valuation(n + 1, p)
-    if v == 0:
-        raise ZetaError("prime must divide n+1")
+    v = _local_valuation(n, p)
     if not 0 <= i <= v:
         raise ZetaError("representative index out of range")
     return LocalFactor(n, _factor_numerator(n, v, i))
-
-
-def theorem_factor(n: int, p: int, d: int) -> IntPoly:
-    """Polynomial correction at p for the lattice L(d) in the Euler product."""
-    v = valuation(n + 1, p)
-    if v == 0:
-        raise ZetaError("prime must divide n+1")
-    if (n + 1) % d:
-        raise ZetaError("not-a-lattice: d must divide n+1")
-    return _factor_numerator(n, v, valuation(d, p))
 
 
 def _terms(poly: IntPoly, p: int, times: str, power: str) -> list[str]:
@@ -316,7 +308,8 @@ def global_zeta(n: int, d: int) -> GlobalZeta:
     if (n + 1) % d:
         raise ZetaError("not-a-lattice: d must divide n+1")
     factors = tuple(
-        (p, theorem_factor(n, p, d)) for p in sorted(prime_factorization(n + 1))
+        (p, local_factor(n, p, valuation(d, p)).numerator)
+        for p in sorted(prime_factorization(n + 1))
     )
     return GlobalZeta(n=n, d=d, riemann_exponent=n, local_factors=factors)
 

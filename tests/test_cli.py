@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import Mock
 
 import pytest
 
-from hookzeta import cli
+from hookzeta import cli, specht
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import matrix_to_json
 from hookzeta.specht import craig_generators
@@ -161,7 +162,13 @@ class TestIdentifyCommand:
 
     @pytest.mark.parametrize(
         "blob",
-        [[[1, 0], [0, 1]], {"rows": 2, "cols": 2, "entries": [[1.7, 0], [0, 1]]}],
+        [
+            [[1, 0], [0, 1]],
+            {"rows": 2, "cols": 2, "entries": [[1.7, 0], [0, 1]]},
+            # well-formed matrices that span no lattice: bad input, not a failed identification
+            {"rows": 2, "cols": 3, "entries": [[1, 0, 0], [0, 1, 0]]},
+            {"rows": 2, "cols": 2, "entries": [[1, 2], [2, 4]]},
+        ],
     )
     def test_malformed_json_exits_two(self, capsys, tmp_path, blob):
         path = tmp_path / "basis.json"
@@ -215,7 +222,6 @@ class TestSpechtCommand:
     def test_wrong_closed_family_exits_one(self, capsys, monkeypatch):
         # n = 8 is above the oracle bound, so only the intertwiner check
         # stands between a wrong closed rule and the output
-        from hookzeta import specht
         from hookzeta.exactmat import IntMatrix
 
         real = specht.specht_generators_closed
@@ -232,6 +238,13 @@ class TestSpechtCommand:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_each_family_built_once(self, capsys, monkeypatch):
+        names = ("specht_generators_closed", "craig_generators")
+        for name in names:
+            monkeypatch.setattr(specht, name, Mock(wraps=getattr(specht, name)))
+        assert run(capsys, "specht", "--n", "8")[0] == 0
+        assert [getattr(specht, name).call_count for name in names] == [1, 1]
 
 
 class TestVerifyCommand:
@@ -351,9 +364,7 @@ class TestBoundOverrides:
         assert json.loads(out)["d"] == 7
 
     def test_specht_above_default_bound_computes_nothing(self, capsys, monkeypatch):
-        from hookzeta import specht
-
-        def forbidden(n):
+        def forbidden(*args):
             raise AssertionError("specht computed above its bound")
 
         monkeypatch.setattr(specht, "specht_generators_closed", forbidden)

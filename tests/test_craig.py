@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from hookzeta import craig
+from hookzeta import craig, verify
 from hookzeta.arith import divisors, prime_factorization, valuation
 from hookzeta.bounds import Bounds, ScaleError
 from hookzeta.craig import (
@@ -26,8 +26,6 @@ from hookzeta.craig import (
     scaled_intersect,
     scaled_lattice_basis,
     scaled_maximal_sublattices,
-    scaled_radical,
-    scaled_radical_interval,
     _all_submodules,
     _residue_action,
     _word_submodules,
@@ -37,9 +35,9 @@ from hookzeta.exactmat import (
     LatticeBasis,
     LatticeError,
     is_scalar_multiple,
-    is_sublattice,
     lattice_index,
     lattice_intersect,
+    lattice_sum,
 )
 from hookzeta.specht import RepGenerators, craig_generators, specht_generators_closed
 from hookzeta.zeta import dirichlet_coeff, global_zeta
@@ -47,10 +45,6 @@ from hookzeta.zeta import dirichlet_coeff, global_zeta
 
 def scaled(n, p, a, b):
     return scaled_lattice_basis(n, ScaledCraigLattice(p, a, b))
-
-
-def realized(n, family):
-    return {scaled_lattice_basis(n, x) for x in family}
 
 
 def integer_moebius(lattice, maximal, target):
@@ -82,11 +76,8 @@ class TestCraigLattice:
 
 class TestStability:
     def test_divisor_criterion_both_directions(self):
-        for n in range(2, 7):
-            gens = craig_generators(n)
-            for d in range(1, 2 * (n + 1) + 1):
-                expected = (n + 1) % d == 0
-                assert is_g_stable(craig_lattice(n, d).basis, gens) == expected, (n, d)
+        check = verify.check_stability_classification(range(2, 7))
+        assert check.passed, check.detail
 
     def test_scaled_lattices_stable(self):
         gens = craig_generators(3)
@@ -122,30 +113,15 @@ class TestScaledClosedForms:
             scaled_index(2, ScaledCraigLattice(3, 1, 0), ScaledCraigLattice(3, 0, 0))
 
     def test_agreement_with_generic_operations(self):
-        for n in (2, 3, 5):
-            for p in sorted(prime_factorization(n + 1)):
-                for a in range(3):
-                    for b in range(3):
-                        for a2 in range(3):
-                            for b2 in range(3):
-                                x = ScaledCraigLattice(p, a, b)
-                                y = ScaledCraigLattice(p, a2, b2)
-                                lx, ly = scaled(n, p, a, b), scaled(n, p, a2, b2)
-                                assert scaled_inclusion(x, y) == is_sublattice(lx, ly)
-                                meet = scaled_intersect(x, y)
-                                assert scaled(n, p, meet.a, meet.b) == lattice_intersect(lx, ly)
-                                if scaled_inclusion(x, y):
-                                    assert p ** scaled_index(n, y, x) == lattice_index(ly, lx)
+        check = verify.check_scaled_closed_forms((2, 3, 5), 2)
+        assert check.passed, check.detail
 
 
 class TestMaximalSublattices:
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (5, 2), (5, 3), (7, 2)])
     def test_three_case_classification(self, n, p):
-        gens = craig_generators(n)
-        v = valuation(n + 1, p)
-        for i in range(v + 1):
-            got = maximal_sublattices_p(craig_lattice(n, p**i).basis, gens, p)
-            assert set(got) == realized(n, scaled_maximal_sublattices(n, p, i))
+        check = verify.check_maximal_sublattices((n,))
+        assert check.passed, check.detail
 
     def test_closed_form_n7_p2(self):
         # v = 3: one maximal sublattice at both ends, two in between
@@ -266,21 +242,15 @@ class TestPrimeValidation:
 class TestRadical:
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (5, 2), (5, 3), (7, 2)])
     def test_closed_form(self, n, p):
-        gens = craig_generators(n)
-        v = valuation(n + 1, p)
-        for i in range(v + 1):
-            got = rad_p(craig_lattice(n, p**i).basis, gens, p)
-            assert got == scaled_lattice_basis(n, scaled_radical(n, p, i))
+        check = verify.check_radical((n,))
+        assert check.passed, check.detail
 
 
 class TestRadicalInterval:
     @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (7, 2)])
     def test_contents(self, n, p):
-        gens = craig_generators(n)
-        v = valuation(n + 1, p)
-        for i in range(v + 1):
-            got = set(phi_p(craig_lattice(n, p**i).basis, gens, p))
-            assert got == realized(n, scaled_radical_interval(n, p, i))
+        check = verify.check_radical_interval((n,))
+        assert check.passed, check.detail
 
     def test_class_filter_examples(self):
         gens = craig_generators(3)
@@ -334,46 +304,19 @@ class TestPPowerWalk:
         assert [len(found[e]) for e in range(5)] == [1, 0, 0, 0, 1]
 
     def test_every_walked_lattice_classifies(self):
-        for n, p in ((2, 3), (3, 2), (5, 2), (5, 3)):
-            gens = craig_generators(n)
-            v = valuation(n + 1, p)
-            found = enumerate_p_sublattices(craig_lattice(n, 1).basis, gens, p, 5)
-            seen = set()
-            for e, lats in found.items():
-                for lat in lats:
-                    a, b = classify_sublattice(lat, n, p)
-                    assert b <= v
-                    assert a * n + b * (n - 1) == e
-                    assert scaled(n, p, a, b) == lat
-                    seen.add((a, b))
-            expected = {
-                (a, b)
-                for a in range(6)
-                for b in range(v + 1)
-                if a * n + b * (n - 1) <= 5
-            }
-            assert seen == expected
+        check = verify.check_p_power_classification((2, 3, 5), 5)
+        assert check.passed, check.detail
 
 
 class TestSumDecomposition:
     def test_n5_factorial_coefficients(self):
         # m = 6!/5 = 144, with the p-part removed: 9 L(1) + 16 L(1) = L(1)
-        from hookzeta.exactmat import lattice_sum
-
         l1 = craig_lattice(5, 1).basis
         assert lattice_sum(l1.scale(9), l1.scale(16)) == l1
 
     def test_p_free_parts_reassemble_every_representative(self):
-        from hookzeta.exactmat import lattice_sum
-
-        for n in range(2, 8):
-            for d in [x for x in range(1, n + 2) if (n + 1) % x == 0]:
-                total = None
-                for p in sorted(prime_factorization(n + 1)):
-                    vd = valuation(d, p)
-                    part = craig_lattice(n, p**vd).basis.scale(d // p**vd)
-                    total = part if total is None else lattice_sum(total, part)
-                assert total == craig_lattice(n, d).basis, (n, d)
+        check = verify.check_sum_decomposition(range(2, 8))
+        assert check.passed, check.detail
 
 
 class TestClassify:

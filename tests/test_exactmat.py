@@ -75,7 +75,6 @@ class TestIntMatrix:
     def test_scalar_and_sum(self):
         a = IntMatrix([[1, -2], [0, 5]])
         assert 3 * a == IntMatrix([[3, -6], [0, 15]])
-        assert a - a == IntMatrix([[0, 0], [0, 0]])
 
     def test_apply(self):
         a = IntMatrix([[1, 2], [3, 4]])

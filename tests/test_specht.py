@@ -167,12 +167,12 @@ class TestClosedIntertwiner:
     @pytest.mark.parametrize("n", range(2, 17))
     def test_equals_the_solved_intertwiner(self, n):
         solved = intertwiner(specht_generators_closed(n), craig_generators(n))
-        assert closed_intertwiner(n) == solved
+        assert closed_intertwiner(specht_generators_closed(n), craig_generators(n)) == solved
 
     @pytest.mark.parametrize("n", [*range(2, 13), 32, 64])
     def test_primitive_with_the_index_of_the_specht_lattice(self, n):
         # [Z^n : L(n+1)] = (n+1)^(n-1), and the solve normalizes P[0][0] > 0
-        p = closed_intertwiner(n)
+        p = closed_intertwiner(specht_generators_closed(n), craig_generators(n))
         assert content(x for row in p.entries for x in row) == 1
         assert p[0, 0] == 1
         assert abs(det(p)) == (n + 1) ** (n - 1)
@@ -180,7 +180,7 @@ class TestClosedIntertwiner:
     def test_check_rejects_any_changed_entry(self):
         n = 4
         a, b = specht_generators_closed(n), craig_generators(n)
-        p = closed_intertwiner(n)
+        p = closed_intertwiner(a, b)
         _intertwines(a, b, p)
         for i in range(n):
             for j in range(n):
@@ -194,7 +194,7 @@ class TestClosedIntertwiner:
             g = craig_generators(n)
             _intertwines(g, g, IntMatrix.identity(n))
             with pytest.raises(LatticeError, match="defining equations"):
-                _intertwines(g, g, closed_intertwiner(n))
+                _intertwines(g, g, closed_intertwiner(specht_generators_closed(n), g))
 
     def test_check_rejects_mismatched_dimensions(self):
         with pytest.raises(LatticeError, match="dimensions"):
@@ -202,7 +202,7 @@ class TestClosedIntertwiner:
 
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
-            closed_intertwiner(1)
+            specht_generators_closed(1)
 
 
 class TestIdentifySpechtLattice:

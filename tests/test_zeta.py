@@ -1,12 +1,9 @@
 import random
-from math import gcd
 
 import pytest
 
+from hookzeta import verify
 from hookzeta.arith import prime_factorization, valuation
-from hookzeta.craig import craig_lattice, enumerate_p_sublattices, mu_p, phi_p_class
-from hookzeta.exactmat import lattice_index
-from hookzeta.specht import craig_generators
 from hookzeta.zeta import (
     POLY_ZERO,
     GlobalZeta,
@@ -21,7 +18,6 @@ from hookzeta.zeta import (
     global_zeta,
     local_factor,
     specht_zeta,
-    theorem_factor,
     verify_inverse,
 )
 
@@ -95,9 +91,8 @@ class TestBuildB:
 
 class TestInversion:
     def test_holds_up_to_ten(self):
-        for n in range(2, 11):
-            for p in sorted(prime_factorization(n + 1)):
-                assert verify_inverse(build_A(n, p), build_B(n, p), n), (n, p)
+        check = verify.check_inversion(range(2, 11))
+        assert check.passed, check.detail
 
     def test_perturbation_detected(self):
         a = build_A(3, 2)
@@ -106,29 +101,12 @@ class TestInversion:
         assert not verify_inverse(PolyMatrix(rows), build_B(3, 2), 3)
 
     def test_row_sums_equal_local_factors(self):
-        for n in range(2, 11):
-            for p in sorted(prime_factorization(n + 1)):
-                v = valuation(n + 1, p)
-                b = build_B(n, p)
-                for i in range(v + 1):
-                    total = POLY_ZERO
-                    for j in range(v + 1):
-                        total = total + b[i, j]
-                    assert total == local_factor(n, p, i).numerator
+        check = verify.check_row_sums(range(2, 11))
+        assert check.passed, check.detail
 
     def test_tridiagonal_matches_moebius_reconstruction(self):
-        for n, p in ((2, 3), (3, 2), (7, 2)):
-            gens = craig_generators(n)
-            v = valuation(n + 1, p)
-            a = build_A(n, p)
-            for i in range(v + 1):
-                lat = craig_lattice(n, p**i).basis
-                for j in range(v + 1):
-                    entry = POLY_ZERO
-                    for member in phi_p_class(lat, gens, p, j):
-                        e = valuation(lattice_index(lat, member), p)
-                        entry = entry + IntPoly.x_power(e, mu_p(lat, gens, p, member))
-                    assert entry == a[i, j], (n, p, i, j)
+        check = verify.check_tridiagonal_from_moebius((2, 3, 7))
+        assert check.passed, check.detail
 
 
 class TestLocalFactor:
@@ -162,28 +140,15 @@ class TestLocalFactor:
                     assert all(c >= 0 for c in local_factor(n, p, i).series(12))
 
     def test_series_matches_walk(self):
-        for n in range(2, 7):
-            gens = craig_generators(n)
-            for p in sorted(prime_factorization(n + 1)):
-                for i in range(valuation(n + 1, p) + 1):
-                    found = enumerate_p_sublattices(craig_lattice(n, p**i).basis, gens, p, 6)
-                    counts = [len(found[e]) for e in range(7)]
-                    assert counts == local_factor(n, p, i).series(6), (n, p, i)
+        check = verify.check_local_series_vs_enumeration(range(2, 7), 6)
+        assert check.passed, check.detail
 
 
 class TestTheoremFactor:
     def test_n3_values(self):
-        assert theorem_factor(3, 2, 1) == IntPoly((1, 0, 1, 0, 1))
-        assert theorem_factor(3, 2, 2) == IntPoly((1, 1, 1))
-        assert theorem_factor(3, 2, 4) == IntPoly((1, 1, 1))
-
-    def test_matches_local_factor(self):
-        for n in range(2, 9):
-            for p in sorted(prime_factorization(n + 1)):
-                for d in (1, p, n + 1):
-                    if (n + 1) % d:
-                        continue
-                    assert theorem_factor(n, p, d) == local_factor(n, p, valuation(d, p)).numerator
+        assert global_zeta(3, 1).local_factors == ((2, IntPoly((1, 0, 1, 0, 1))),)
+        assert global_zeta(3, 2).local_factors == ((2, IntPoly((1, 1, 1))),)
+        assert global_zeta(3, 4).local_factors == ((2, IntPoly((1, 1, 1))),)
 
 
 class TestGlobalZeta:
@@ -267,13 +232,5 @@ class TestDirichletCoeff:
             dirichlet_coeffs(global_zeta(2, 1), 0)
 
     def test_multiplicative_on_coprime_pairs(self):
-        rng = random.Random(2024)
-        for _ in range(100):
-            n = rng.choice([2, 3, 4, 5])
-            d = rng.choice([x for x in range(1, n + 2) if (n + 1) % x == 0])
-            z = global_zeta(n, d)
-            while True:
-                m1, m2 = rng.randint(1, 80), rng.randint(1, 80)
-                if gcd(m1, m2) == 1:
-                    break
-            assert dirichlet_coeff(z, m1 * m2) == dirichlet_coeff(z, m1) * dirichlet_coeff(z, m2)
+        check = verify.check_coefficient_multiplicativity(random.Random(2024), 100, 80)
+        assert check.passed, check.detail
