@@ -151,10 +151,7 @@ def cmd_specht(args) -> int:
         if oracle.mats != closed.mats:
             print("closed Specht action disagrees with the oracle", file=sys.stderr)
             return 1
-    p = specht.closed_intertwiner(closed, specht.craig_generators(args.n))
-    d = craig.identify_stable_lattice(LatticeBasis(p))
-    if d is None:
-        raise LatticeError("intertwined lattice matches no stable representative")
+    p, d = specht.identify_specht_lattice(closed, specht.craig_generators(args.n))
     payload = {
         "n": args.n,
         "generators": specht.generators_to_json(closed)["generators"],

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import product
 from operator import mul
+from types import MappingProxyType
 
 from .arith import content, divisors, is_prime, prime_factorization, valuation
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
@@ -36,7 +37,6 @@ from .exactmat import (
     LatticeError,
     hnf,
     is_scalar_multiple,
-    lattice_index,
     lattice_intersect,
     matrix_to_json,
     solve_in_lattice,
@@ -240,7 +240,10 @@ def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
 # A_1 ... A_k of the generators; for the transpositions s_1, ..., s_n of the
 # hook module, s_1 ... s_(n-1) is an n-cycle with chi = x^n - 1 and s_1 ... s_n
 # is an (n+1)-cycle with chi = 1 + x + ... + x^n, and no prime divides both n
-# and n+1, so one of them is squarefree mod every p.
+# and n+1, so one of them is squarefree mod every p.  The stable lattices
+# between pL and L are the lifts of submodules, and lifting preserves inclusion
+# and intersection, so every entry point reads one memoized layer of F_p keys,
+# `_residue_layer`, and lifts only what it needs.
 # ---------------------------------------------------------------------------
 
 
@@ -541,22 +544,34 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
     return sorted(lats, key=lambda l: l.key())
 
 
-def _residue_submodules(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
-    """The maximal submodules of L/pL, their meet and the submodules above it.
+# Layers each memo keeps; the benchmark's census grid walks 450 distinct census
+# layers, and `verify --n-max 6` reads 56 distinct residue layers.
+_LAYER_CACHE_SIZE = 1024
 
-    Returned as F_p keys (maximal, radical, interval).  The stable lattices
-    between pL and L are the lifts of submodules, and lifting preserves
-    inclusion and intersection.
+
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
+def _residue_layer(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
+    """The maximal submodules of L/pL, their meet, and the Moebius values above it.
+
+    F_p keys (maximal, radical, moebius): moebius maps each submodule x that
+    contains the radical to mu(x) = -sum of mu(y) over the y above x, which by
+    Rota's crosscut theorem is the sum of (-1)^|J| over the sets J of maximal
+    submodules meeting in x.  A tripped bound or a composite p raises, which
+    is never cached.
     """
     _require_prime(p)
     n = lattice.dim
     subs, full = _submodules_for_action(_residue_action(lattice, gens, p), p, n, bounds)
     proper = [s for s in subs if s != full]
-    maximal = [
+    maximal = tuple(
         s for s in proper if not any(len(o) > len(s) and _echelon(o + s, p) == o for o in proper)
-    ]
+    )
     radical = _meet(maximal, p, n)
-    return maximal, radical, [s for s in subs if _echelon(s + radical, p) == s]
+    moebius: dict[tuple, int] = {}
+    for s in sorted((s for s in subs if _echelon(s + radical, p) == s), key=len, reverse=True):
+        above = (m for o, m in moebius.items() if len(o) > len(s) and _echelon(o + s, p) == o)
+        moebius[s] = 1 if s == full else -sum(above)
+    return maximal, radical, MappingProxyType(moebius)
 
 
 def maximal_sublattices_p(
@@ -570,13 +585,13 @@ def maximal_sublattices_p(
     no prefix product of the generators is semisimple.  When the residue
     module is irreducible the only such sublattice is pL itself.
     """
-    maximal = _residue_submodules(lattice, gens, p, bounds)[0]
+    maximal = _residue_layer(lattice, gens, p, bounds)[0]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal)
 
 
 def rad_p(lattice: LatticeBasis, gens, p: int, bounds: Bounds = DEFAULT_BOUNDS) -> LatticeBasis:
     """Intersection of all maximal stable sublattices above pL."""
-    return _lift_subspace(lattice, _residue_submodules(lattice, gens, p, bounds)[1], p)
+    return _lift_subspace(lattice, _residue_layer(lattice, gens, p, bounds)[1], p)
 
 
 def phi_p(
@@ -587,7 +602,7 @@ def phi_p(
     These are the invariant subspaces of L/pL containing the image of the
     radical, lifted back to lattices.
     """
-    interval = _residue_submodules(lattice, gens, p, bounds)[2]
+    interval = _residue_layer(lattice, gens, p, bounds)[2]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in interval)
 
 
@@ -603,20 +618,17 @@ def mu_p(
 ) -> int:
     """Moebius value of `target` in the poset of intersections of maximal sublattices.
 
-    Sums (-1)^|J| over subsets J of the maximal sublattices whose intersection
-    is exactly `target`; the empty intersection is the lattice itself.
+    Read from the residue layer: `target` lies in the lift of its image in
+    L/pL, of index p^codim in L, so it is that lift when the indices agree.
     """
-    maximal, _, interval = _residue_submodules(lattice, gens, p, bounds)
-    key = {_lift_subspace(lattice, s, p): s for s in interval}.get(target)
-    if key is None:
-        raise LatticeError("lattice lies outside the radical interval")
-    n = lattice.dim
-    return sum(
-        (-1) ** size
-        for size in range(len(maximal) + 1)
-        for subset in combinations(maximal, size)
-        if _meet(subset, p, n) == key
-    )
+    moebius = _residue_layer(lattice, gens, p, bounds)[2]
+    coords = solve_in_lattice(lattice.hnf, target.hnf) if target.dim == lattice.dim else None
+    if coords is not None:
+        key = _echelon(([x % p for x in col] for col in zip(*coords.entries)), p)
+        index = p ** (lattice.dim - len(key))
+        if key in moebius and target.determinant() == lattice.determinant() * index:
+            return moebius[key]
+    raise LatticeError("lattice lies outside the radical interval")
 
 
 def enumerate_p_sublattices(
@@ -627,6 +639,8 @@ def enumerate_p_sublattices(
     Breadth-first walk: every stable sublattice of p-power index sits at the
     bottom of a chain of maximal inclusions, so repeatedly expanding maximal
     stable sublattices and deduplicating by normal form reaches everything.
+    A maximal key of codimension c lifts to a sublattice of index p^c, so
+    only the lifts that stay within max_exp are built.
     """
     _require_prime(p)
     if max_exp < 0:
@@ -634,12 +648,11 @@ def enumerate_p_sublattices(
     levels: dict[int, dict[tuple, LatticeBasis]] = {0: {lattice.key(): lattice}}
     for e in range(max_exp):
         for lat in levels.get(e, {}).values():
-            for sub in maximal_sublattices_p(lat, gens, p, bounds):
-                step = valuation(lattice_index(lat, sub), p)
-                e2 = e + step
-                if e2 > max_exp:
-                    continue
-                levels.setdefault(e2, {})[sub.key()] = sub
+            for key in _residue_layer(lat, gens, p, bounds)[0]:
+                e2 = e + lat.dim - len(key)
+                if e2 <= max_exp:
+                    sub = _lift_subspace(lat, key, p)
+                    levels.setdefault(e2, {})[sub.key()] = sub
     return {e: _sorted_lattices(levels.get(e, {}).values()) for e in range(max_exp + 1)}
 
 
@@ -667,10 +680,6 @@ def _compositions(total: int, parts: int):
 
 
 _RESOLVED = object()
-
-
-# Layers the cache keeps; the benchmark's census grid walks 450 distinct ones.
-_LAYER_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)

@@ -368,18 +368,18 @@ def closed_intertwiner(a: RepGenerators, b: RepGenerators) -> IntMatrix:
     return p
 
 
-def identify_specht_lattice(n: int) -> int:
+def identify_specht_lattice(a: RepGenerators, b: RepGenerators) -> tuple[IntMatrix, int]:
     """Locate the Specht lattice among the stable lattices of the standard coordinates.
 
-    Maps the Specht basis lattice through the closed intertwiner into standard
-    coordinates and returns the divisor d of n+1 whose lattice L(d) it is a
-    scalar multiple of.
+    Maps the Specht basis lattice through the closed intertwiner P from the
+    closed Specht family a to the standard family b, and returns P with the
+    divisor d of n+1 whose lattice L(d) is a scalar multiple of the image.
     """
-    p = closed_intertwiner(specht_generators_closed(n), craig_generators(n))
+    p = closed_intertwiner(a, b)
     d = craig.identify_stable_lattice(LatticeBasis(p))
     if d is None:
         raise LatticeError("intertwined lattice matches no stable representative")
-    return d
+    return p, d
 
 
 def generators_to_json(gens: RepGenerators) -> dict:

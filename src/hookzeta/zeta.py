@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_nth_power, prime_factorization, valuation
-from .specht import identify_specht_lattice
+from .specht import craig_generators, identify_specht_lattice, specht_generators_closed
 
 
 class ZetaError(ValueError):
@@ -34,14 +34,6 @@ class IntPoly:
     @classmethod
     def x_power(cls, k: int, c: int = 1) -> "IntPoly":
         return cls((0,) * k + (c,))
-
-    @property
-    def degree(self) -> int | None:
-        """Degree, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
@@ -322,7 +314,7 @@ def specht_zeta(n: int) -> GlobalZeta:
     v the multiplicity of p in n+1.  The shorter sum stopping at X^(v-1) is
     ruled out by the enumeration oracle: see the verification report.
     """
-    d = identify_specht_lattice(n)
+    _, d = identify_specht_lattice(specht_generators_closed(n), craig_generators(n))
     return global_zeta(n, d)
 
 

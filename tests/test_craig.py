@@ -118,8 +118,8 @@ class TestScaledClosedForms:
 
 
 class TestMaximalSublattices:
-    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (5, 2), (5, 3), (7, 2)])
-    def test_three_case_classification(self, n, p):
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_three_case_classification(self, n):
         check = verify.check_maximal_sublattices((n,))
         assert check.passed, check.detail
 
@@ -153,11 +153,13 @@ class TestMaximalSublattices:
             assert got == [lat.scale(p)]
 
     def test_spinning_bound(self):
+        # A layer memoized under the default bounds is not served to a call
+        # with a tighter bound.
         gens = craig_generators(6)
+        lat = craig_lattice(6, 1).basis
+        assert maximal_sublattices_p(lat, gens, 7) == [craig_lattice(6, 7).basis]
         with pytest.raises(ScaleError, match="spinning-scale-exceeded"):
-            maximal_sublattices_p(
-                craig_lattice(6, 1).basis, gens, 7, Bounds(spinning_max_order=1000)
-            )
+            maximal_sublattices_p(lat, gens, 7, Bounds(spinning_max_order=1000))
 
 
 class TestResidueSubmodules:
@@ -183,20 +185,49 @@ class TestResidueSubmodules:
         assert len(maximal_sublattices_p(lat, gens, p)) == (p**n - 1) // (p - 1)
 
     def test_fallback_interval_is_the_subspace_lattice(self):
-        # Identity generators: every subspace of F_2^3 is a submodule, and the
-        # Moebius value at codimension k is (-1)^k 2^(k(k-1)/2).
-        n, p = 3, 2
+        # Identity generators: every subspace of F_p^3 is a submodule, and the
+        # Moebius value at codimension k is (-1)^k p^(k(k-1)/2).  At p = 3
+        # there are 13 maximal submodules.
+        n = 3
         gens = RepGenerators(n, (IntMatrix.identity(n),) * n)
         lat = craig_lattice(n, 1).basis
+        for p in (2, 3):
+            members = phi_p(lat, gens, p)
+            assert rad_p(lat, gens, p) == lat.scale(p)
+            codims = [valuation(lattice_index(lat, member), p) for member in members]
+            lines = p * p + p + 1
+            assert sorted(codims) == [0] + [1] * lines + [2] * lines + [3]
+            for member, k in zip(members, codims):
+                assert mu_p(lat, gens, p, member) == (-1) ** k * p ** (k * (k - 1) // 2)
+
+    def test_one_spin_serves_every_entry_point(self, monkeypatch):
+        n, p = 7, 2
+        lat, gens = craig_lattice(n, 2).basis, craig_generators(n)
+        craig._residue_layer.cache_clear()
+        spins = []
+        real = craig._spin
+
+        def counted(*args):
+            spins.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(craig, "_spin", counted)
         members = phi_p(lat, gens, p)
-        assert len(members) == 16
-        assert rad_p(lat, gens, p) == lat.scale(2)
-        values = []
-        for member in members:
-            k = valuation(lattice_index(lat, member), p)
-            values.append(mu_p(lat, gens, p, member))
-            assert values[-1] == (-1) ** k * 2 ** (k * (k - 1) // 2)
-        assert sorted(values) == [-8] + [-1] * 7 + [1] + [2] * 7
+        assert spins
+        spins.clear()
+        assert len(maximal_sublattices_p(lat, gens, p)) == 2
+        assert rad_p(lat, gens, p) == scaled(n, p, 1, 1)
+        assert phi_p_class(lat, gens, p, 2) == [scaled(n, p, 0, 2)]
+        assert sorted(mu_p(lat, gens, p, member) for member in members) == [-1, -1, 1, 1]
+        assert spins == []
+
+    def test_clearing_a_result_leaves_later_calls_whole(self):
+        lat, gens = craig_lattice(7, 2).basis, craig_generators(7)
+        for entry in (maximal_sublattices_p, phi_p):
+            first = entry(lat, gens, 2)
+            kept = list(first)
+            first.clear()
+            assert entry(lat, gens, 2) == kept
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_fp_radical_and_moebius_match_integer_intersections(self, n):
@@ -240,15 +271,15 @@ class TestPrimeValidation:
 
 
 class TestRadical:
-    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (5, 2), (5, 3), (7, 2)])
-    def test_closed_form(self, n, p):
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_closed_form(self, n):
         check = verify.check_radical((n,))
         assert check.passed, check.detail
 
 
 class TestRadicalInterval:
-    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (7, 2)])
-    def test_contents(self, n, p):
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_contents(self, n):
         check = verify.check_radical_interval((n,))
         assert check.passed, check.detail
 

@@ -208,7 +208,8 @@ class TestClosedIntertwiner:
 class TestIdentifySpechtLattice:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_lands_on_largest_divisor(self, n):
-        assert identify_specht_lattice(n) == n + 1
+        a, b = specht_generators_closed(n), craig_generators(n)
+        assert identify_specht_lattice(a, b) == (closed_intertwiner(a, b), n + 1)
 
 
 class TestSerialization:
