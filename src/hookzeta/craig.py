@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
-from operator import mul
 from types import MappingProxyType
 
 from .arith import content, divisors, is_prime, prime_factorization, valuation
@@ -219,6 +218,26 @@ def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
     return tuple(rows)
 
 
+def _shifted_terms(action) -> tuple:
+    """Each generator A as the nonzero rows (row, ((col, coeff), ...)) of A - cI.
+
+    c is A's commonest diagonal entry, -1 for most transpositions (-I plus rank
+    one).  cI maps every lattice and F_p subspace into itself, so A and A - cI
+    have the same invariant ones.  Kept terms of a reduced action are nonzero mod p.
+    """
+    shifted = []
+    for rows in action:
+        diag = [row[i] for i, row in enumerate(rows)]
+        c = max(diag, key=diag.count)
+        terms = []
+        for i, row in enumerate(rows):
+            kept = tuple((j, x - c * (i == j)) for j, x in enumerate(row) if x != c * (i == j))
+            if kept:
+                terms.append((i, kept))
+        shifted.append(tuple(terms))
+    return tuple(shifted)
+
+
 # ---------------------------------------------------------------------------
 # Submodules of the residue module L/pL by spinning.
 #
@@ -243,7 +262,8 @@ def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
 # and n+1, so one of them is squarefree mod every p.  The stable lattices
 # between pL and L are the lifts of submodules, and lifting preserves inclusion
 # and intersection, so every entry point reads one memoized layer of F_p keys,
-# `_residue_layer`, and lifts only what it needs.
+# `_residue_layer`, and lifts only what it needs.  The words are dense, but
+# spins apply each generator A as the sparse A - cI of `_shifted_terms`.
 # ---------------------------------------------------------------------------
 
 
@@ -280,9 +300,10 @@ def _echelon(rows, p: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for _, row in basis)
 
 
-def _spin(vec, action_rows, p: int, n: int):
+def _spin(vec, shifted, p: int, n: int):
     """Smallest action-invariant subspace containing vec, as a canonical key.
 
+    `shifted` is the action mod p in the form of `_shifted_terms`.
     Worklist closure: every vector ever inserted is pushed once and its
     generator images are reduced against the growing basis.  The inserted
     vectors span the subspace, so checking their images suffices.  Returns
@@ -293,8 +314,13 @@ def _spin(vec, action_rows, p: int, n: int):
     queue = [list(vec)]
     while queue:
         w = queue.pop()
-        for rows in action_rows:
-            img = [sum(r[i] * w[i] for i in range(n)) % p for r in rows]
+        for terms in shifted:
+            img = [0] * n
+            for r, row in terms:
+                s = 0
+                for j, x in row:
+                    s += x * w[j]
+                img[r] = s % p
             if _rref_insert(basis, img, p):
                 if len(basis) == n:
                     return None
@@ -318,9 +344,10 @@ def _submodules_from_spins(vectors, action, p: int, n: int):
     whole space.
     """
     full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    shifted = _shifted_terms(action)
     cyclic = set()
     for vec in vectors:
-        key = _spin(vec, action, p, n)
+        key = _spin(vec, shifted, p, n)
         cyclic.add(full if key is None else key)
     subs = set(cyclic)
     subs.add(())
@@ -666,7 +693,9 @@ def enumerate_p_sublattices(
 # column lies back in the column span", which forward-substitutes one row at
 # a time; the walk commits one column at a time and prunes as soon as any
 # partially substituted image fails a divisibility constraint, which is sound
-# because later columns cannot repair an earlier failed row.
+# because later columns cannot repair an earlier failed row.  A column's
+# image is taken under the sparse A - cI of `_shifted_terms`; a zero image
+# is skipped, and substitution starts at the image's first nonzero row.
 # ---------------------------------------------------------------------------
 
 
@@ -692,7 +721,7 @@ def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeB
     matrices).  The action rows are solved once per layer; an unstable base
     raises LatticeError, which is never cached.  No caller can change a tuple.
     """
-    action_rows = _conjugated_action_rows(lattice, gens)
+    shifted = _shifted_terms(_conjugated_action_rows(lattice, gens))
     n = lattice.dim
     results: list[tuple] = []
 
@@ -744,9 +773,19 @@ def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeB
                     else:
                         newpend.append((res, i))
                 if ok:
-                    for rows in action_rows:
-                        image = tuple(sum(map(mul, row, col)) for row in rows)
-                        state = advance(image, 0, newcols, t)
+                    for terms in shifted:
+                        image, first = [0] * n, n
+                        for r, row in terms:
+                            s = 0
+                            for j, x in row:
+                                s += x * col[j]
+                            if s:
+                                image[r] = s
+                                if first == n:
+                                    first = r
+                        if first == n:
+                            continue
+                        state = advance(image, first, newcols, t)
                         if state is None:
                             ok = False
                             break

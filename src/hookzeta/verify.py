@@ -87,6 +87,14 @@ def _representatives(ns):
                 yield n, p, i
 
 
+def _interval_classes(lat: LatticeBasis, gens, p: int, bounds: Bounds) -> dict:
+    """phi_p grouped by `identify_stable_lattice`: class j is the group of p^j."""
+    classes: dict = {}
+    for member in craig.phi_p(lat, gens, p, bounds):
+        classes.setdefault(craig.identify_stable_lattice(member), []).append(member)
+    return classes
+
+
 def _walk_counts(lattice: LatticeBasis, gens, p: int, max_exp: int, bounds: Bounds) -> list[int]:
     found = craig.enumerate_p_sublattices(lattice, gens, p, max_exp, bounds)
     return [len(found[e]) for e in range(max_exp + 1)]
@@ -201,10 +209,10 @@ def check_radical_interval_classes(ns, bounds: Bounds = DEFAULT_BOUNDS):
     """Class j of the interval is its members p^a L(p^j)."""
     bad = []
     for n, p, i in _representatives(ns):
-        gens = specht.craig_generators(n)
         interval = craig.scaled_radical_interval(n, p, i)
+        classes = _interval_classes(_craig_basis(n, p**i), specht.craig_generators(n), p, bounds)
         for j in range(valuation(n + 1, p) + 1):
-            got = craig.phi_p_class(_craig_basis(n, p**i), gens, p, j, bounds)
+            got = classes.get(p**j, [])
             if got != _sorted_bases(n, [x for x in interval if x.b == j]):
                 bad.append((n, p, i, j))
     return not bad, f"failing (n, p, i, j): {bad}"
@@ -269,9 +277,10 @@ def check_tridiagonal_from_moebius(ns, bounds: Bounds = DEFAULT_BOUNDS):
         gens = specht.craig_generators(n)
         a = zeta.build_A(n, p)
         lat = _craig_basis(n, p**i)
+        classes = _interval_classes(lat, gens, p, bounds)
         for j in range(a.size):
             entry = zeta.POLY_ZERO
-            for member in craig.phi_p_class(lat, gens, p, j, bounds):
+            for member in classes.get(p**j, []):
                 mu = craig.mu_p(lat, gens, p, member, bounds)
                 e = valuation(lattice_index(lat, member), p)
                 entry = entry + zeta.IntPoly.x_power(e, mu)

@@ -57,6 +57,63 @@ def integer_moebius(lattice, maximal, target):
     )
 
 
+def integer_families(rng, n):
+    """Seeded random integer actions on Z^n: one dense family, then upper
+    triangular ones (they fix a flag, so their censuses are not empty) with
+    random diagonals, all-distinct diagonals (a tie for the commonest entry),
+    zero diagonals, and a scalar generator (A - cI = 0)."""
+
+    def mat(diag=None, upper=True):
+        rows = [[rng.randint(-2, 2) if j >= i or not upper else 0 for j in range(n)]
+                for i in range(n)]
+        for i, x in enumerate(diag or ()):
+            rows[i][i] = x
+        return IntMatrix(rows)
+
+    scalar = IntMatrix([[3 * (i == j) for j in range(n)] for i in range(n)])
+    return [
+        RepGenerators(n, tuple(mat(upper=False) for _ in range(n))),
+        RepGenerators(n, tuple(mat() for _ in range(n))),
+        RepGenerators(n, tuple(mat(list(range(n))) for _ in range(n))),
+        RepGenerators(n, tuple(mat([0] * n) for _ in range(n))),
+        RepGenerators(n, (scalar,) + tuple(mat() for _ in range(n - 1))),
+    ]
+
+
+def assert_shifted_form(action, shifted, p=None):
+    """Each generator's sparse form is A - cI, c a commonest diagonal entry."""
+    reduce_p = (lambda x: x) if p is None else (lambda x: x % p)
+    for rows, terms in zip(action, shifted):
+        n = len(rows)
+        dense = [[0] * n for _ in range(n)]
+        for r, row in terms:
+            for j, x in row:
+                assert reduce_p(x)
+                dense[r][j] = x
+        c = reduce_p(rows[0][0] - dense[0][0])
+        for i in range(n):
+            for j in range(n):
+                assert reduce_p(rows[i][j] - dense[i][j]) == (c if i == j else 0)
+        diag = [reduce_p(rows[i][i]) for i in range(n)]
+        assert diag.count(c) == max(map(diag.count, diag))
+
+
+def dense_closure(vec, action, p):
+    """The echelon key of the smallest subspace holding vec that every dense
+    action matrix maps into itself, mod p."""
+    key = craig._echelon([vec], p)
+    while True:
+        images = tuple(
+            tuple(sum(a * x for a, x in zip(row, v)) % p for row in rows)
+            for rows in action
+            for v in key
+        )
+        grown = craig._echelon(key + images, p)
+        if grown == key:
+            return key
+        key = grown
+
+
 class TestCraigLattice:
     def test_n3_d2_basis(self):
         lat = craig_lattice(3, 2)
@@ -176,6 +233,35 @@ class TestResidueSubmodules:
                     assert _word_submodules(acts, p, n) == _all_submodules(acts, p, n), (n, p)
                     cases += 1
         assert cases == 67
+
+    def test_spin_matches_the_dense_closure(self):
+        # Every L(d) with n <= 7 at every p <= 7, and integer actions on Z^n;
+        # a spin that fills the space exits with None.
+        rng = random.Random(11)
+        cases = [
+            (_residue_action(craig_lattice(n, d).basis, craig_generators(n), p), p, n)
+            for n in range(2, 8)
+            for p in (2, 3, 5, 7)
+            for d in divisors(n + 1)
+        ]
+        cases += [
+            (_residue_action(LatticeBasis(IntMatrix.identity(n)), gens, p), p, n)
+            for n in (2, 3)
+            for gens in integer_families(rng, n)
+            for p in (2, 3)
+        ]
+        exits = set()
+        for action, p, n in cases:
+            shifted = craig._shifted_terms(action)
+            assert_shifted_form(action, shifted, p)
+            vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            vectors += [tuple(rng.randrange(p) for _ in range(n)) for _ in range(2)]
+            for vec in filter(any, vectors):
+                want = dense_closure(vec, action, p)
+                got = craig._spin(vec, shifted, p, n)
+                assert got == (None if len(want) == n else want), (action, p, vec)
+                exits.add(got is None)
+        assert exits == {True, False}
 
     def test_identity_generators_fall_back_to_exhaustive_spinning(self):
         n, p = 3, 2
@@ -431,6 +517,23 @@ class TestIndexCensus:
                     fast = enumerate_index_sublattices(lat, gens, m)
                     slow = enumerate_index_sublattices_naive(lat, gens, m)
                     assert fast == slow, (n, d, m)
+
+    def test_matches_naive_census_under_integer_actions(self):
+        # Z^n is stable under every integer matrix, so any family has a census.
+        # The naive census of Z^4 passes a second at m = 16, so n = 4 stops at 8.
+        rng = random.Random(12)
+        families = [gens for n in (2, 3) for gens in integer_families(rng, n)]
+        families += [specht_generators_closed(n) for n in (2, 3, 4)]
+        found = 0
+        for gens in families:
+            lat = LatticeBasis(IntMatrix.identity(gens.n))
+            action = tuple(a.entries for a in gens.mats)
+            assert_shifted_form(action, craig._shifted_terms(action))
+            for m in range(1, 17 if gens.n < 4 else 9):
+                fast = enumerate_index_sublattices(lat, gens, m)
+                assert fast == enumerate_index_sublattices_naive(lat, gens, m), (gens, m)
+                found += len(fast)
+        assert found > 100
 
     def test_clearing_a_result_leaves_later_calls_whole(self):
         lat = craig_lattice(3, 1).basis
