@@ -27,6 +27,9 @@ class Bounds:
     # Largest n accepted by `hookzeta specht`, whose JSON output grows like
     # n^3 (n generator matrices of n^2 entries; about 32 MB at n = 128).
     specht_max_n: int = 128
+    # Largest `hookzeta coeffs --limit`: the table and its output (about 27
+    # bytes of JSON per index) grow linearly in it.
+    coeffs_max_limit: int = 1_000_000
 
 
 DEFAULT_BOUNDS = Bounds()

@@ -4,7 +4,8 @@ Subcommands: zeta, coeffs, enumerate, identify, verify, specht.
 Exit codes: 0 success, 1 verification or identification failure (or a reader
 that closed standard output early), 2 bad or unreadable input, or a
 computation above a configured bound (`--bound-*`; `specht --n` above
-`--bound-specht-n` stops before any work).
+`--bound-specht-n` and `coeffs --limit` above `--bound-coeffs-limit` stop
+before any work).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ def _bounds_from_args(args) -> Bounds:
         index_enumeration_max=args.bound_index,
         spinning_max_order=args.bound_spin,
         specht_max_n=args.bound_specht_n,
+        coeffs_max_limit=args.bound_coeffs_limit,
     )
 
 
@@ -50,15 +52,29 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    bounds = _bounds_from_args(args)
     if args.limit < 1:
         raise ValueError("limit must be at least 1")
+    if args.limit > bounds.coeffs_max_limit:
+        raise ScaleError(
+            f"coeffs-scale-exceeded: limit {args.limit} is above {bounds.coeffs_max_limit}"
+        )
     z = zeta.global_zeta(args.n, args.d)
-    table = [[m, a] for m, a in enumerate(zeta.dirichlet_coeffs(z, args.limit), start=1)]
-    if args.format == "text":
-        for m, a in table:
-            print(f"{m}\t{a}")
-    else:
-        _emit_json(table)
+    pairs = enumerate(zeta.dirichlet_coeffs(z, args.limit), start=1)
+    # "m<TAB>a" lines, or the bytes `_emit_json` writes for [[m, a], ...]:
+    # shaped by hand and streamed in batches, since the indent-2 encoder runs
+    # in pure Python and is several times slower on this table.
+    text = args.format == "text"
+    sep, lead = ("\n" if text else ",\n"), ""
+    sys.stdout.write("" if text else "[\n")
+    while batch := list(islice(pairs, 4096)):
+        if text:
+            body = sep.join([f"{m}\t{a}" for m, a in batch])
+        else:
+            body = sep.join([f"  [\n    {m},\n    {a}\n  ]" for m, a in batch])
+        sys.stdout.write(lead + body)
+        lead = sep
+    sys.stdout.write("\n" if text else "\n]\n")
     return 0
 
 
@@ -178,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--bound-index", type=int, default=Bounds.index_enumeration_max)
     parser.add_argument("--bound-spin", type=int, default=Bounds.spinning_max_order)
     parser.add_argument("--bound-specht-n", type=int, default=Bounds.specht_max_n)
+    parser.add_argument("--bound-coeffs-limit", type=int, default=Bounds.coeffs_max_limit)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zeta = sub.add_parser("zeta", help="factored zeta function of L(d)")

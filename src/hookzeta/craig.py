@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import product
+from math import gcd
 from types import MappingProxyType
 
 from .arith import content, divisors, is_prime, prime_factorization, valuation
@@ -689,13 +690,36 @@ def enumerate_p_sublattices(
 # Sublattices of index m correspond one to one to canonical lower-triangular
 # bases H: positive diagonal with product m, off-diagonal entries H[i][j]
 # (j < i) reduced into [0, H[i][i]).  The census walks every such H and keeps
-# the stable ones.  Stability of H is "each generator image of each basis
-# column lies back in the column span", which forward-substitutes one row at
-# a time; the walk commits one column at a time and prunes as soon as any
-# partially substituted image fails a divisibility constraint, which is sound
-# because later columns cannot repair an earlier failed row.  A column's
-# image is taken under the sparse A - cI of `_shifted_terms`; a zero image
-# is skipped, and substitution starts at the image's first nonzero row.
+# the stable ones.  H is stable when each generator image of each column
+# forward-substitutes to zero: row r of the residual must be divisible by
+# H[r][r], and the quotient times column r is subtracted.  Images are taken
+# under the sparse A - cI of `_shifted_terms`.  A residual is held as
+# (generator, column, quotients, next row) and its rows are read off the
+# columns on demand, so no residual is copied or undone.
+#
+# The walk fills column t one entry at a time, in row order, and checks each
+# residual row as soon as every entry it reads is chosen; the first failing
+# row prunes the whole subtree, since no later choice changes it.  A nonzero quotient at a row r > t needs
+# column r, so that residual waits for column r.  The next row of a live
+# residual comes after quotients that are all fixed, so it is affine in the
+# entry x being chosen at row i: divisibility by its own diagonal entry
+# H[r][r] is a congruence a x + b = 0 mod H[r][r].  It has two kinds:
+#
+# * a residual of an earlier column, waiting at row t with quotient c, has
+#   a = -c when r = i (and a = 0 otherwise);
+# * the column's own image has for a the coefficient of x in row r of A - cI,
+#   less the quotient c of row t when r = i and substitution has passed row t.
+#
+# All moduli are powers of p, so the classes meet in one class modulo a power
+# of p, or in none, which prunes the subtree, and only that class of
+# range(H[i][i]) is tried.  Each value tried still goes through the full
+# check, so a congruence only skips values whose row must fail.  The rows
+# after the first depend on quotients that x fixes (the column's own quotient
+# at row t can depend on x), so they are checked value by value.
+#
+# An entry with one value (H[i][i] = 1) is 0 and takes no step of its own.  A
+# residual skips the rows where neither A - cI nor a free entry is nonzero,
+# and an image that reads no nonzero entry of its column is not formed.
 # ---------------------------------------------------------------------------
 
 
@@ -708,9 +732,6 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-_RESOLVED = object()
-
-
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
 def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeBasis, ...]:
     """All stable sublattices of index p^k, from their stable triangular bases.
@@ -720,86 +741,124 @@ def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeB
     arguments (a lattice hashes on its normal form, a generator family on its
     matrices).  The action rows are solved once per layer; an unstable base
     raises LatticeError, which is never cached.  No caller can change a tuple.
+
+    Per generator the walk keeps the rows of A - cI by index, the entry of a
+    column after which each image row is known (the row itself at least, for
+    the quotient of row t times the entry), and bit masks of the nonzero rows
+    and of the columns read.
     """
-    shifted = _shifted_terms(_conjugated_action_rows(lattice, gens))
     n = lattice.dim
+    rows_of, ready_of, busy_of, reads_of = [], [], [], []
+    for terms in _shifted_terms(_conjugated_action_rows(lattice, gens)):
+        rows = [()] * n
+        for r, row in terms:
+            rows[r] = row
+        rows_of.append(rows)
+        ready_of.append([max([r] + [j for j, _ in row]) for r, row in enumerate(rows)])
+        busy_of.append(sum(1 << r for r, _ in terms))
+        reads_of.append(reduce(int.__or__, (1 << j for _, row in terms for j, _ in row), 0))
+    gen_ids = range(len(rows_of))
+    rowwise = range(n)  # a waiting residual's row r is known with entry r
     results: list[tuple] = []
 
     for shape in _compositions(k, n):
         diag = [p**e for e in shape]
+        free = sum(1 << r for r, e in enumerate(shape) if e)
+        # The entry after row i that has more than one value (n: none).
+        after = [next((r for r in range(i + 1, n) if shape[r]), n) for i in range(n)]
+        cols = [[0] * n for _ in range(n)]
 
-        def advance(res, i, cols, t):
-            # Forward-substitute rows i.. of the residual while the needed
-            # columns are known or unused; park at the first unknown column
-            # with a nonzero coefficient.
-            r = list(res)
-            while i < n:
-                d = diag[i]
-                ri = r[i]
-                if ri % d:
-                    return None
-                c = ri // d
-                if c == 0:
-                    i += 1
-                    continue
-                if i <= t:
-                    col = cols[i]
-                    for ii in range(i, n):
-                        r[ii] -= c * col[ii]
-                    i += 1
-                else:
-                    return (tuple(r), i)
-            return _RESOLVED
+        def row_value(g, src, quots, r):
+            v = 0
+            col = cols[src]
+            for j, a in rows_of[g][r]:
+                v += a * col[j]
+            for s, c in quots:
+                v -= c * cols[s][r]
+            return v
 
-        def walk(t, cols, pending):
-            free_rows = [i for i in range(t + 1, n) if diag[i] > 1]
-            for choice in product(*(range(diag[i]) for i in free_rows)):
-                col = [0] * n
-                col[t] = diag[t]
-                for idx, v in zip(free_rows, choice):
-                    col[idx] = v
-                col = tuple(col)
-                newcols = cols + (col,)
-                ok = True
-                newpend = []
-                for res, i in pending:
-                    if i == t:
-                        state = advance(res, i, newcols, t)
-                        if state is None:
-                            ok = False
+        def choose(t, i, live, waiting):
+            # Entry i of column t (i == t: the diagonal) fixes the column down
+            # to row h.  `live` holds the residuals checked in column t and
+            # `waiting` those that wait for a later one.
+            col = cols[t]
+            h = after[i] - 1
+            if i == t:
+                live = [res for res in waiting if res[2][-1][0] == t]
+                # Column t is nonzero only at row t and at free rows below it.
+                support = 1 << t | free >> t << t
+                for g in gen_ids:
+                    if reads_of[g] & support:
+                        rows = busy_of[g] | free
+                        live.append((g, t, (), (rows & -rows).bit_length() - 1))
+                waiting = [res for res in waiting if res[2][-1][0] != t]
+                values = (diag[t],)
+            else:
+                # Meet the congruences of the rows this entry completes in the
+                # class cls mod `mod`; b is the row's value while x is still 0.
+                cls, mod = 0, 1
+                for g, src, quots, r in live:
+                    if (ready_of[g] if src == t else rowwise)[r] > h:
+                        continue
+                    a = 0
+                    if src == t:
+                        for j, coeff in rows_of[g][r]:
+                            if j == i:
+                                a = coeff
+                    if r == i and quots and quots[-1][0] == t:
+                        a -= quots[-1][1]
+                    b = row_value(g, src, quots, r)
+                    m = diag[r]
+                    d = gcd(a, m)
+                    if b % d:
+                        return
+                    if d == m:
+                        continue
+                    m //= d
+                    x0 = -(b // d) * pow(a // d, -1, m) % m
+                    if m > mod:
+                        cls, mod, x0, m = x0, m, cls, mod
+                    if cls % m != x0:
+                        return
+                values = range(cls, diag[i], mod)
+            for x in values:
+                col[i] = x
+                nlive, nwaiting = [], waiting
+                for g, src, quots, r in live:
+                    ready = ready_of[g] if src == t else rowwise
+                    rows = busy_of[g] | free
+                    while r < n and ready[r] <= h:
+                        v = row_value(g, src, quots, r)
+                        if v % diag[r]:
+                            r = -1
                             break
-                        if state is not _RESOLVED:
-                            newpend.append(state)
+                        if v:
+                            quots += ((r, v // diag[r]),)
+                        # On to the next row that can be nonzero: a row of
+                        # A - cI, or a row with free entries.
+                        rest = rows >> (r + 1)
+                        r = r + (rest & -rest).bit_length() if rest else n
+                        if v and quots[-1][0] > t:
+                            break
+                    if r < 0:
+                        break
+                    if r == n:
+                        continue
+                    if quots and quots[-1][0] > t:
+                        nwaiting = nwaiting + [(g, src, quots, r)]
                     else:
-                        newpend.append((res, i))
-                if ok:
-                    for terms in shifted:
-                        image, first = [0] * n, n
-                        for r, row in terms:
-                            s = 0
-                            for j, x in row:
-                                s += x * col[j]
-                            if s:
-                                image[r] = s
-                                if first == n:
-                                    first = r
-                        if first == n:
-                            continue
-                        state = advance(image, first, newcols, t)
-                        if state is None:
-                            ok = False
-                            break
-                        if state is not _RESOLVED:
-                            newpend.append(state)
-                if not ok:
-                    continue
-                if t + 1 == n:
-                    if not newpend:
-                        results.append(newcols)
+                        nlive.append((g, src, quots, r))
                 else:
-                    walk(t + 1, newcols, tuple(newpend))
+                    if h + 1 < n:
+                        choose(t, h + 1, nlive, nwaiting)
+                    elif t + 1 < n:
+                        choose(t + 1, t + 1, nlive, nwaiting)
+                    else:
+                        results.append(tuple(map(tuple, cols)))
+            if i > t:
+                col[i] = 0
 
-        walk(0, (), ())
+        choose(0, 0, [], [])
 
     return tuple(
         LatticeBasis(IntMatrix.from_columns([lattice.hnf.apply(col) for col in cols]))

@@ -7,11 +7,11 @@ from unittest.mock import Mock
 
 import pytest
 
-from hookzeta import cli, specht
+from hookzeta import cli, specht, zeta
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import matrix_to_json
 from hookzeta.specht import craig_generators
-from hookzeta.zeta import dirichlet_coeff, global_zeta
+from hookzeta.zeta import dirichlet_coeff, dirichlet_coeffs, global_zeta
 
 
 def run(capsys, *argv):
@@ -69,6 +69,21 @@ class TestCoeffsCommand:
     def test_bad_limit(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--d", "1", "--limit", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (3, 4), (5, 6)])
+    def test_writer_matches_the_encoder_at_batch_edges(self, capsys, n, d):
+        # The writer streams 4096 pairs at a time; the encoder is the oracle.
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        z = global_zeta(n, d)
+        for limit in (1, 2, 4095, 4096, 4097, 8193):
+            table = [[m, a] for m, a in enumerate(dirichlet_coeffs(z, limit), start=1)]
+            argv = ["coeffs", "--n", str(n), "--d", str(d), "--limit", str(limit)]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert out == encoder.encode(table) + "\n", limit
+            code, out, _ = run(capsys, *argv, "--format", "text")
+            assert code == 0
+            assert out == "".join(f"{m}\t{a}\n" for m, a in table), limit
 
 
 class TestEnumerateCommand:
@@ -373,6 +388,28 @@ class TestBoundOverrides:
         assert code == 2
         assert out == ""
         assert err.startswith("error: specht-scale-exceeded")
+
+    def test_coeffs_limit_bound(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("coeffs computed above its bound")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(zeta, "global_zeta", forbidden)
+            patch.setattr(zeta, "dirichlet_coeffs", forbidden)
+            code, out, err = run(capsys, "coeffs", "--n", "2", "--d", "1", "--limit", "100000000")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: coeffs-scale-exceeded")
+        code, out, err = run(
+            capsys, "--bound-coeffs-limit", "5", "coeffs", "--n", "2", "--d", "1", "--limit", "6"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: coeffs-scale-exceeded")
+        code, out, _ = run(
+            capsys, "--bound-coeffs-limit", "6", "coeffs", "--n", "2", "--d", "1", "--limit", "6"
+        )
+        assert code == 0
+        assert json.loads(out) == [[1, 1], [2, 0], [3, 1], [4, 1], [5, 0], [6, 0]]
 
     def test_tripped_spin_bound_stops_verify(self, capsys):
         code, out, err = run(capsys, "--bound-spin", "5", "verify", "--n-max", "2")

@@ -535,6 +535,27 @@ class TestIndexCensus:
                 found += len(fast)
         assert found > 100
 
+    # At p^2 and above the walk solves entries from congruences: a residual of an
+    # earlier column waiting at the entry's column, and the column's own image
+    # once its substitution passed the diagonal.  These grids reach both.
+    @pytest.mark.parametrize("n, seed, ms", [
+        (2, 13, (25, 27, 32, 49)),
+        (2, 14, (25, 27, 32, 49)),
+        (2, 15, (25, 27, 32, 49)),
+        (3, 13, (27,)),
+    ])
+    def test_matches_naive_census_at_higher_prime_powers(self, n, seed, ms):
+        lat = LatticeBasis(IntMatrix.identity(n))
+        for gens in integer_families(random.Random(seed), n):
+            for m in ms:
+                fast = enumerate_index_sublattices(lat, gens, m)
+                assert fast == enumerate_index_sublattices_naive(lat, gens, m), (gens, m)
+
+    @pytest.mark.parametrize("m", [25, 49])
+    def test_matches_naive_census_of_l1_at_odd_prime_squares(self, m):
+        lat, gens = craig_lattice(3, 1).basis, craig_generators(3)
+        assert enumerate_index_sublattices(lat, gens, m) == enumerate_index_sublattices_naive(lat, gens, m)
+
     def test_clearing_a_result_leaves_later_calls_whole(self):
         lat = craig_lattice(3, 1).basis
         gens = craig_generators(3)
