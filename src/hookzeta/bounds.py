@@ -20,9 +20,10 @@ class Bounds:
     polytabloid_max_n: int = 7
     # Largest sublattice index accepted by the exhaustive census.
     index_enumeration_max: int = 500
-    # Largest residue module size p**n accepted for residue submodules.  The
-    # exhaustive fallback spins all (p**n - 1)/(p - 1) lines; the usual path
-    # needs at most n spins, but the same bound still applies to it.
+    # Largest work estimate accepted for the submodules of a residue module
+    # F_p^n: n^3 (n + p) for the semisimple word (n dense products and
+    # kernels, Berlekamp over range(p)), and n^3 per submodule of the join
+    # closure, checked as it grows.
     spinning_max_order: int = 1_000_000
     # Largest n accepted by `hookzeta specht`, whose JSON output grows like
     # n^3 (n generator matrices of n^2 entries; about 32 MB at n = 128).

@@ -22,14 +22,22 @@ from .bounds import Bounds, ScaleError
 from .exactmat import LatticeBasis, LatticeError, matrix_from_json, matrix_to_json
 
 
+# Each override flag, the `Bounds` field it sets, and what that field bounds.
+_BOUND_FLAGS = (
+    ("--bound-oracle-n", "polytabloid_max_n", "largest n of the n!-term polytabloid oracle"),
+    ("--bound-index", "index_enumeration_max", "largest index m of the exhaustive census"),
+    (
+        "--bound-spin",
+        "spinning_max_order",
+        "largest residue-spinning estimate n^3 (n + p), and n^3 per submodule found",
+    ),
+    ("--bound-specht-n", "specht_max_n", "largest n accepted by specht"),
+    ("--bound-coeffs-limit", "coeffs_max_limit", "largest --limit accepted by coeffs"),
+)
+
+
 def _bounds_from_args(args) -> Bounds:
-    return Bounds(
-        polytabloid_max_n=args.bound_oracle_n,
-        index_enumeration_max=args.bound_index,
-        spinning_max_order=args.bound_spin,
-        specht_max_n=args.bound_specht_n,
-        coeffs_max_limit=args.bound_coeffs_limit,
-    )
+    return Bounds(**{field: getattr(args, field) for _, field, _ in _BOUND_FLAGS})
 
 
 def _emit_json(obj) -> None:
@@ -82,8 +90,13 @@ def cmd_enumerate(args) -> int:
     bounds = _bounds_from_args(args)
     if not is_prime(args.prime):
         raise ValueError("--prime must be a prime number")
-    if args.prime**args.max_exp > bounds.index_enumeration_max and args.oracle:
-        raise ScaleError("enumeration-scale-exceeded: oracle range above configured bound")
+    if args.oracle:
+        # top is the largest e with p^e within the bound; p^max_exp is never formed.
+        top, power = -1, 1
+        while power <= bounds.index_enumeration_max:
+            top, power = top + 1, power * args.prime
+        if args.max_exp > top:
+            raise ScaleError("enumeration-scale-exceeded: oracle range above configured bound")
     gens = specht.craig_generators(args.n)
     base = craig.craig_lattice(args.n, args.d).basis
     if not craig.is_g_stable(base, gens):
@@ -190,11 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sublattice counting and zeta functions for hook-module lattices "
         "of symmetric groups.",
     )
-    parser.add_argument("--bound-oracle-n", type=int, default=Bounds.polytabloid_max_n)
-    parser.add_argument("--bound-index", type=int, default=Bounds.index_enumeration_max)
-    parser.add_argument("--bound-spin", type=int, default=Bounds.spinning_max_order)
-    parser.add_argument("--bound-specht-n", type=int, default=Bounds.specht_max_n)
-    parser.add_argument("--bound-coeffs-limit", type=int, default=Bounds.coeffs_max_limit)
+    for flag, field, text in _BOUND_FLAGS:
+        parser.add_argument(flag, dest=field, type=int, default=getattr(Bounds, field), help=text)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_zeta = sub.add_parser("zeta", help="factored zeta function of L(d)")

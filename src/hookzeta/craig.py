@@ -12,8 +12,7 @@ enumeration routes:
 * a breadth-first walk over maximal stable sublattices, driven by the
   submodule lattice of the residue module L/pL, which is read off from a few
   spins at kernels of one group-algebra word with squarefree characteristic
-  polynomial (exhaustive spinning over every line of L/pL remains as the
-  fallback and as the test oracle), and
+  polynomial, and
 * an exhaustive census of all sublattices of a given index via canonical
   triangular bases, filtered by stability.
 
@@ -208,8 +207,19 @@ def is_g_stable(lattice: LatticeBasis, gens) -> bool:
     return all(action_in_basis(lattice, m) is not None for m in gens.mats)
 
 
+# Entries each memo keeps; the benchmark's census grid walks 450 distinct census
+# layers, and `verify --n-max 6` reads 56 distinct residue layers.
+_LAYER_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
 def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
-    """The generators written in the lattice's basis, as row tuples."""
+    """The generators written in the lattice's basis, as row tuples.
+
+    Memoized per (lattice, generators): every census and residue layer of a
+    lattice reads the same rows.  An unstable lattice raises LatticeError,
+    which is never cached.
+    """
     rows = []
     for m in gens.mats:
         a = action_in_basis(lattice, m)
@@ -250,21 +260,26 @@ def _shifted_terms(action) -> tuple:
 # family of cyclic submodules that contains a generating set of every
 # submodule under sums enumerates the full submodule lattice.
 #
-# The exhaustive family spins every line of F_p^n, which costs p^n spins.  A
-# group-algebra word B whose characteristic polynomial chi is squarefree needs
-# only one spin per irreducible factor f of chi: F_p^n is the direct sum of the
-# B-irreducible kernels ker f(B), so every submodule is the direct sum of the
-# kernels it contains, and hence the join of the spins of one nonzero vector
-# from each of them (the MeatAxe idea of Parker, "The computer calculation of
-# modular characters", 1984).  The words tried are the prefix products
-# A_1 ... A_k of the generators; for the transpositions s_1, ..., s_n of the
-# hook module, s_1 ... s_(n-1) is an n-cycle with chi = x^n - 1 and s_1 ... s_n
-# is an (n+1)-cycle with chi = 1 + x + ... + x^n, and no prime divides both n
-# and n+1, so one of them is squarefree mod every p.  The stable lattices
-# between pL and L are the lifts of submodules, and lifting preserves inclusion
-# and intersection, so every entry point reads one memoized layer of F_p keys,
-# `_residue_layer`, and lifts only what it needs.  The words are dense, but
-# spins apply each generator A as the sparse A - cI of `_shifted_terms`.
+# A group-algebra word B whose characteristic polynomial chi is squarefree
+# needs only one spin per irreducible factor f of chi: F_p^n is the direct sum
+# of the B-irreducible kernels ker f(B), so every submodule is the direct sum
+# of the kernels it contains, and hence the join of the spins of one nonzero
+# vector from each of them (the MeatAxe idea of Parker, "The computer
+# calculation of modular characters", 1984).  The words tried are the prefix
+# products A_1 ... A_k of the generators; for the transpositions s_1, ..., s_n
+# of the hook module, s_1 ... s_(n-1) is an n-cycle with chi = x^n - 1 and
+# s_1 ... s_n is an (n+1)-cycle with chi = 1 + x + ... + x^n, and no prime
+# divides both n and n+1, so one of them is squarefree mod every p; a family
+# with no squarefree prefix raises "no-semisimple-word".  The bound
+# `spinning_max_order` prices this path as n^3 (n + p): up to n dense prefix
+# products, characteristic polynomials and Horner kernels at O(n^3) each, and
+# Berlekamp's loops over range(p) at O(n^3 p).  The join closure adds n^3 per
+# submodule (up to 2^r of them for r constituents) and stops at the same bound.
+# The stable lattices between pL and L are the lifts of submodules, and
+# lifting preserves inclusion and intersection, so every entry point reads one
+# memoized layer of F_p keys, `_residue_layer`, and lifts only what it needs.
+# The words are dense, but spins apply each generator A as the sparse A - cI
+# of `_shifted_terms`.
 # ---------------------------------------------------------------------------
 
 
@@ -329,20 +344,12 @@ def _spin(vec, shifted, p: int, n: int):
     return tuple(tuple(row) for _, row in basis)
 
 
-def _projective_reps(n: int, p: int):
-    """One representative per line of F_p^n: first nonzero coordinate is 1."""
-    for lead in range(n):
-        tail_len = n - lead - 1
-        for tail in product(range(p), repeat=tail_len):
-            yield (0,) * lead + (1,) + tail
-
-
-def _submodules_from_spins(vectors, action, p: int, n: int):
+def _submodules_from_spins(vectors, action, p: int, n: int, bounds: Bounds):
     """Spin each vector and close the cyclic submodules under joins.
 
     Returns every submodule when each submodule is a join of spins of the
     given vectors, as canonical echelon keys, together with the key of the
-    whole space.
+    whole space.  Raises ScaleError once n^3 times their number passes the bound.
     """
     full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     shifted = _shifted_terms(action)
@@ -362,13 +369,10 @@ def _submodules_from_spins(vectors, action, p: int, n: int):
                 if j not in subs:
                     subs.add(j)
                     new.append(j)
+                    if n**3 * len(subs) > bounds.spinning_max_order:
+                        raise ScaleError("spinning-scale-exceeded: too many submodules")
         frontier = new
     return subs, full
-
-
-def _all_submodules(action, p: int, n: int):
-    """Every action-invariant subspace of F_p^n, by spinning every line."""
-    return _submodules_from_spins(_projective_reps(n, p), action, p, n)
 
 
 def _mat_mul_mod(a, b, p: int) -> list[list[int]]:
@@ -527,13 +531,15 @@ def _poly_at_matrix(f: list[int], mat: list[list[int]], p: int) -> list[list[int
     return out
 
 
-def _word_submodules(action, p: int, n: int):
+def _word_submodules(action, p: int, n: int, bounds: Bounds):
     """Every submodule, from one spin per irreducible factor of chi.
 
     chi is the characteristic polynomial of the first prefix product
-    A_1 ... A_k of the action matrices that is squarefree over F_p.  Returns
-    None when there is no such product.
+    A_1 ... A_k of the action matrices that is squarefree over F_p.  Raises
+    ScaleError above the estimate n^3 (n + p), ValueError with no such product.
     """
+    if n**3 * (n + p) > bounds.spinning_max_order:
+        raise ScaleError("spinning-scale-exceeded: residue module is too large")
     word = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for rows in action:
         word = _mat_mul_mod(word, rows, p)
@@ -542,15 +548,8 @@ def _word_submodules(action, p: int, n: int):
             kernels = [
                 _nullspace_mod(_poly_at_matrix(f, word, p), p, n)[0] for f in _berlekamp(chi, p)
             ]
-            return _submodules_from_spins(kernels, action, p, n)
-    return None
-
-
-def _submodules_for_action(action, p: int, n: int, bounds: Bounds):
-    if p**n > bounds.spinning_max_order:
-        raise ScaleError("spinning-scale-exceeded: residue module is too large")
-    found = _word_submodules(action, p, n)
-    return _all_submodules(action, p, n) if found is None else found
+            return _submodules_from_spins(kernels, action, p, n, bounds)
+    raise ValueError(f"no-semisimple-word: no prefix product is squarefree mod {p}")
 
 
 def _residue_action(lattice: LatticeBasis, gens, p: int) -> tuple:
@@ -572,11 +571,6 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
     return sorted(lats, key=lambda l: l.key())
 
 
-# Layers each memo keeps; the benchmark's census grid walks 450 distinct census
-# layers, and `verify --n-max 6` reads 56 distinct residue layers.
-_LAYER_CACHE_SIZE = 1024
-
-
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
 def _residue_layer(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
     """The maximal submodules of L/pL, their meet, and the Moebius values above it.
@@ -584,12 +578,12 @@ def _residue_layer(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
     F_p keys (maximal, radical, moebius): moebius maps each submodule x that
     contains the radical to mu(x) = -sum of mu(y) over the y above x, which by
     Rota's crosscut theorem is the sum of (-1)^|J| over the sets J of maximal
-    submodules meeting in x.  A tripped bound or a composite p raises, which
-    is never cached.
+    submodules meeting in x.  A tripped bound, a family without a semisimple
+    word or a composite p raises, which is never cached.
     """
     _require_prime(p)
     n = lattice.dim
-    subs, full = _submodules_for_action(_residue_action(lattice, gens, p), p, n, bounds)
+    subs, full = _word_submodules(_residue_action(lattice, gens, p), p, n, bounds)
     proper = [s for s in subs if s != full]
     maximal = tuple(
         s for s in proper if not any(len(o) > len(s) and _echelon(o + s, p) == o for o in proper)
@@ -609,9 +603,9 @@ def maximal_sublattices_p(
 
     These correspond to the maximal invariant subspaces of the residue module
     L/pL.  Its submodule lattice comes from one spin per irreducible factor
-    of a semisimple generator word, or from spinning every line of L/pL when
-    no prefix product of the generators is semisimple.  When the residue
-    module is irreducible the only such sublattice is pL itself.
+    of a semisimple generator word; ValueError is raised when no prefix
+    product of the generators is semisimple mod p.  When the residue module
+    is irreducible the only such sublattice is pL itself.
     """
     maximal = _residue_layer(lattice, gens, p, bounds)[0]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal)
@@ -739,8 +733,9 @@ def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeB
     The census of every index m walks the layer of each prime power dividing
     m, so the finished sublattices are memoized on the caller's own hashable
     arguments (a lattice hashes on its normal form, a generator family on its
-    matrices).  The action rows are solved once per layer; an unstable base
-    raises LatticeError, which is never cached.  No caller can change a tuple.
+    matrices).  The action rows come from the memo of
+    `_conjugated_action_rows`; an unstable base raises LatticeError, which is
+    never cached.  No caller can change a tuple.
 
     Per generator the walk keeps the rows of A - cI by index, the entry of a
     column after which each image row is known (the row itself at least, for

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from unittest.mock import Mock
 import pytest
 
 from hookzeta import cli, specht, zeta
+from hookzeta.bounds import DEFAULT_BOUNDS, Bounds
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import matrix_to_json
 from hookzeta.specht import craig_generators
@@ -410,6 +412,48 @@ class TestBoundOverrides:
         )
         assert code == 0
         assert json.loads(out) == [[1, 1], [2, 0], [3, 1], [4, 1], [5, 0], [6, 0]]
+
+    def test_each_bound_has_one_flag(self):
+        # Each flag sets one field, with the field's default as its own: the
+        # field is the one that differs between --bound-X 7 and --bound-X 8.
+        parser = cli.build_parser()
+        overridden = []
+        for action in parser._actions:
+            if not any(flag.startswith("--bound-") for flag in action.option_strings):
+                continue
+            assert action.help
+            flag = action.option_strings[0]
+            seven, eight = (
+                cli._bounds_from_args(parser.parse_args([flag, value, "verify"]))
+                for value in ("7", "8")
+            )
+            (name,) = [
+                field.name
+                for field in dataclasses.fields(Bounds)
+                if getattr(seven, field.name) != getattr(eight, field.name)
+            ]
+            assert seven == dataclasses.replace(DEFAULT_BOUNDS, **{name: 7}), flag
+            assert action.default == getattr(DEFAULT_BOUNDS, name), flag
+            overridden.append(name)
+        assert sorted(overridden) == sorted(field.name for field in dataclasses.fields(Bounds))
+
+    def test_oracle_range_check_forms_no_power(self, capsys):
+        # 1000003**100000000 would not finish; the check compares exponents.
+        code, out, err = run(
+            capsys,
+            "enumerate",
+            "--n",
+            "2",
+            "--d",
+            "1",
+            "--prime",
+            "1000003",
+            "--max-exp",
+            "100000000",
+            "--oracle",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration-scale-exceeded")
 
     def test_tripped_spin_bound_stops_verify(self, capsys):
         code, out, err = run(capsys, "--bound-spin", "5", "verify", "--n-max", "2")

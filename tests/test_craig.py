@@ -1,12 +1,12 @@
 import random
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from hookzeta import craig, verify
 from hookzeta.arith import divisors, prime_factorization, valuation
-from hookzeta.bounds import Bounds, ScaleError
+from hookzeta.bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from hookzeta.craig import (
     ScaledCraigLattice,
     classify_sublattice,
@@ -26,7 +26,6 @@ from hookzeta.craig import (
     scaled_intersect,
     scaled_lattice_basis,
     scaled_maximal_sublattices,
-    _all_submodules,
     _residue_action,
     _word_submodules,
 )
@@ -45,6 +44,18 @@ from hookzeta.zeta import dirichlet_coeff, global_zeta
 
 def scaled(n, p, a, b):
     return scaled_lattice_basis(n, ScaledCraigLattice(p, a, b))
+
+
+def projective_reps(n, p):
+    """One representative per line of F_p^n: first nonzero coordinate is 1."""
+    for lead in range(n):
+        for tail in product(range(p), repeat=n - lead - 1):
+            yield (0,) * lead + (1,) + tail
+
+
+def exhaustive_submodules(action, p, n):
+    """The oracle: every action-invariant subspace of F_p^n, by spinning every line."""
+    return craig._submodules_from_spins(projective_reps(n, p), action, p, n, DEFAULT_BOUNDS)
 
 
 def integer_moebius(lattice, maximal, target):
@@ -230,7 +241,8 @@ class TestResidueSubmodules:
                 pairs.append((LatticeBasis(IntMatrix.identity(n)), specht_generators_closed(n)))
                 for lat, gens in pairs:
                     acts = _residue_action(lat, gens, p)
-                    assert _word_submodules(acts, p, n) == _all_submodules(acts, p, n), (n, p)
+                    got = _word_submodules(acts, p, n, DEFAULT_BOUNDS)
+                    assert got == exhaustive_submodules(acts, p, n), (n, p)
                     cases += 1
         assert cases == 67
 
@@ -263,28 +275,71 @@ class TestResidueSubmodules:
                 exits.add(got is None)
         assert exits == {True, False}
 
-    def test_identity_generators_fall_back_to_exhaustive_spinning(self):
+    def test_identity_generators_have_no_semisimple_word(self):
+        # The raise is not cached: a second call raises again.
         n, p = 3, 2
         gens = RepGenerators(n, (IntMatrix.identity(n),) * n)
         lat = craig_lattice(n, 1).basis
-        assert _word_submodules(_residue_action(lat, gens, p), p, n) is None
-        assert len(maximal_sublattices_p(lat, gens, p)) == (p**n - 1) // (p - 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no-semisimple-word"):
+                maximal_sublattices_p(lat, gens, p)
 
-    def test_fallback_interval_is_the_subspace_lattice(self):
-        # Identity generators: every subspace of F_p^3 is a submodule, and the
-        # Moebius value at codimension k is (-1)^k p^(k(k-1)/2).  At p = 3
-        # there are 13 maximal submodules.
+    def test_subspace_lattice_interval_from_the_exhaustive_oracle(self, monkeypatch):
+        # Identity generators, with the oracle in place of the word path:
+        # every subspace of F_p^3 is a submodule, and the Moebius value at
+        # codimension k is (-1)^k p^(k(k-1)/2).  At p = 3 there are 13
+        # maximal submodules.
         n = 3
         gens = RepGenerators(n, (IntMatrix.identity(n),) * n)
         lat = craig_lattice(n, 1).basis
-        for p in (2, 3):
-            members = phi_p(lat, gens, p)
-            assert rad_p(lat, gens, p) == lat.scale(p)
-            codims = [valuation(lattice_index(lat, member), p) for member in members]
-            lines = p * p + p + 1
-            assert sorted(codims) == [0] + [1] * lines + [2] * lines + [3]
-            for member, k in zip(members, codims):
-                assert mu_p(lat, gens, p, member) == (-1) ** k * p ** (k * (k - 1) // 2)
+
+        def oracle(action, p, n, bounds):
+            return exhaustive_submodules(action, p, n)
+
+        craig._residue_layer.cache_clear()
+        monkeypatch.setattr(craig, "_word_submodules", oracle)
+        try:
+            for p in (2, 3):
+                members = phi_p(lat, gens, p)
+                assert rad_p(lat, gens, p) == lat.scale(p)
+                codims = [valuation(lattice_index(lat, member), p) for member in members]
+                lines = p * p + p + 1
+                assert sorted(codims) == [0] + [1] * lines + [2] * lines + [3]
+                for member, k in zip(members, codims):
+                    assert mu_p(lat, gens, p, member) == (-1) ** k * p ** (k * (k - 1) // 2)
+        finally:
+            craig._residue_layer.cache_clear()
+
+    def test_every_family_lattice_has_a_semisimple_word(self):
+        # Every L(d) under the standard action and the Specht lattice, at
+        # default bounds: one maximal sublattice pL at a prime not dividing
+        # n+1, and the closed-form count at the others.
+        cases = 0
+        for n in range(2, 11):
+            pairs = [(d, craig_lattice(n, d).basis, craig_generators(n)) for d in divisors(n + 1)]
+            pairs.append((n + 1, LatticeBasis(IntMatrix.identity(n)), specht_generators_closed(n)))
+            for p in (2, 3, 5, 7, 11):
+                for d, lat, gens in pairs:
+                    got = maximal_sublattices_p(lat, gens, p)
+                    if (n + 1) % p:
+                        assert got == [lat.scale(p)], (n, p, d)
+                    else:
+                        want = scaled_maximal_sublattices(n, p, valuation(d, p))
+                        assert len(got) == len(want), (n, p, d)
+                    cases += 1
+        assert cases == 175
+
+    def test_join_closure_is_bounded(self):
+        # diag(1..6) is semisimple mod 7 with six eigenlines, so its residue
+        # module has 2^6 submodules: the estimate 6^3 (6 + 7) = 2808 passes a
+        # bound of 5000, and the closure trips once 6^3 times its size does.
+        n, p = 6, 7
+        diag = IntMatrix([[i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
+        gens = RepGenerators(n, (diag,) + (IntMatrix.identity(n),) * (n - 1))
+        lat = LatticeBasis(IntMatrix.identity(n))
+        with pytest.raises(ScaleError, match="spinning-scale-exceeded"):
+            maximal_sublattices_p(lat, gens, p, Bounds(spinning_max_order=5000))
+        assert len(maximal_sublattices_p(lat, gens, p)) == n
 
     def test_one_spin_serves_every_entry_point(self, monkeypatch):
         n, p = 7, 2
@@ -564,6 +619,23 @@ class TestIndexCensus:
         assert kept
         first.clear()
         assert enumerate_index_sublattices(lat, gens, 216) == kept
+
+    def test_new_layer_of_a_known_lattice_solves_nothing(self, monkeypatch):
+        # The action rows are solved once per (lattice, generators), not per layer.
+        lat, gens = craig_lattice(3, 1).basis, craig_generators(3)
+        craig._census_layer.cache_clear()
+        craig._conjugated_action_rows.cache_clear()
+        enumerate_index_sublattices(lat, gens, 2)
+        calls = []
+        real = craig.solve_in_lattice
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(craig, "solve_in_lattice", counted)
+        enumerate_index_sublattices(lat, gens, 3)
+        assert calls == []
 
     def test_repeated_query_solves_nothing(self, monkeypatch):
         lat = craig_lattice(3, 1).basis
