@@ -22,8 +22,8 @@ class Bounds:
     index_enumeration_max: int = 500
     # Largest work estimate accepted for the submodules of a residue module
     # F_p^n: n^3 (n + p) for the semisimple word (n dense products and
-    # kernels, Berlekamp over range(p)), and n^3 per submodule of the join
-    # closure, checked as it grows.
+    # kernels, Berlekamp over range(p)), and n^3 per member of the radical
+    # interval, checked once the spins are known.
     spinning_max_order: int = 1_000_000
     # Largest n accepted by `hookzeta specht`, whose JSON output grows like
     # n^3 (n generator matrices of n^2 entries; about 32 MB at n = 128).

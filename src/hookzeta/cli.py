@@ -29,7 +29,7 @@ _BOUND_FLAGS = (
     (
         "--bound-spin",
         "spinning_max_order",
-        "largest residue-spinning estimate n^3 (n + p), and n^3 per submodule found",
+        "largest residue-spinning estimate n^3 (n + p), and n^3 per member of the radical interval",
     ),
     ("--bound-specht-n", "specht_max_n", "largest n accepted by specht"),
     ("--bound-coeffs-limit", "coeffs_max_limit", "largest --limit accepted by coeffs"),
@@ -116,7 +116,8 @@ def cmd_enumerate(args) -> int:
     payload: dict = {"p": args.prime, "counts": counts}
     if args.with_lattices:
         payload["lattices"] = {
-            str(e): craig.lattices_to_json(found.get(e, [])) for e in range(args.max_exp + 1)
+            str(e): [matrix_to_json(lat.hnf) for lat in found.get(e, [])]
+            for e in range(args.max_exp + 1)
         }
     if args.format == "text":
         print(" ".join(str(counts[str(e)]) for e in range(args.max_exp + 1)))
@@ -183,7 +184,7 @@ def cmd_specht(args) -> int:
     p, d = specht.identify_specht_lattice(closed, specht.craig_generators(args.n))
     payload = {
         "n": args.n,
-        "generators": specht.generators_to_json(closed)["generators"],
+        "generators": [matrix_to_json(m) for m in closed.mats],
         "intertwiner": matrix_to_json(p),
         "d": d,
     }

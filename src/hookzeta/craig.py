@@ -10,8 +10,8 @@ lattices, implements the closed forms, and provides two independent
 enumeration routes:
 
 * a breadth-first walk over maximal stable sublattices, driven by the
-  submodule lattice of the residue module L/pL, which is read off from a few
-  spins at kernels of one group-algebra word with squarefree characteristic
+  maximal submodules of the residue module L/pL, which are read off one spin
+  per kernel block of a group-algebra word with squarefree characteristic
   polynomial, and
 * an exhaustive census of all sublattices of a given index via canonical
   triangular bases, filtered by stability.
@@ -37,7 +37,6 @@ from .exactmat import (
     hnf,
     is_scalar_multiple,
     lattice_intersect,
-    matrix_to_json,
     solve_in_lattice,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "enumerate_p_sublattices",
     "enumerate_index_sublattices",
     "classify_sublattice",
-    "lattices_to_json",
 ]
 
 
@@ -256,25 +254,29 @@ def _shifted_terms(action) -> tuple:
 # basis over F_p (`_echelon`): the join of two subspaces is the echelon form of
 # their rows together, and `small` lies in `big` exactly when adding its rows
 # leaves `big` unchanged.  Spinning closes a single vector under the generator
-# action; every submodule is a join of such cyclic submodules, so closing a
-# family of cyclic submodules that contains a generating set of every
-# submodule under sums enumerates the full submodule lattice.
+# action.
 #
 # A group-algebra word B whose characteristic polynomial chi is squarefree
-# needs only one spin per irreducible factor f of chi: F_p^n is the direct sum
-# of the B-irreducible kernels ker f(B), so every submodule is the direct sum
-# of the kernels it contains, and hence the join of the spins of one nonzero
-# vector from each of them (the MeatAxe idea of Parker, "The computer
-# calculation of modular characters", 1984).  The words tried are the prefix
-# products A_1 ... A_k of the generators; for the transpositions s_1, ..., s_n
-# of the hook module, s_1 ... s_(n-1) is an n-cycle with chi = x^n - 1 and
-# s_1 ... s_n is an (n+1)-cycle with chi = 1 + x + ... + x^n, and no prime
-# divides both n and n+1, so one of them is squarefree mod every p; a family
-# with no squarefree prefix raises "no-semisimple-word".  The bound
+# splits F_p^n into the B-irreducible blocks ker f(B), one per irreducible
+# factor f of chi.  Every submodule is B-invariant, hence the direct sum of
+# the blocks it contains, and the spin K_i of a nonzero vector k_i of block i
+# is the least submodule holding that block (the MeatAxe idea of Parker, "The
+# computer calculation of modular characters", 1984).  So the submodules are
+# the joins of spins, and the blocks carry a preorder: K_i lies in K_j
+# exactly when k_i does.  A top class is a spin that no other spin strictly
+# contains; with t of them, the maximal submodules are the t joins of the
+# spins outside one top class, the radical is the join of the spins that are
+# not top, and the radical interval is Boolean: 2^t joins that leave out a
+# set U of top classes, with Moebius value (-1)^|U|.  The words tried are the
+# prefix products A_1 ... A_k of the generators; for the transpositions
+# s_1, ..., s_n of the hook module, s_1 ... s_(n-1) is an n-cycle with
+# chi = x^n - 1 and s_1 ... s_n is an (n+1)-cycle with chi = 1 + x + ... + x^n,
+# and no prime divides both n and n+1, so one of them is squarefree mod every
+# p; a family with no squarefree prefix raises "no-semisimple-word".  The bound
 # `spinning_max_order` prices this path as n^3 (n + p): up to n dense prefix
 # products, characteristic polynomials and Horner kernels at O(n^3) each, and
-# Berlekamp's loops over range(p) at O(n^3 p).  The join closure adds n^3 per
-# submodule (up to 2^r of them for r constituents) and stops at the same bound.
+# Berlekamp's loops over range(p) at O(n^3 p).  Once the spins are known it
+# adds n^3 per member of the radical interval and stops at the same bound.
 # The stable lattices between pL and L are the lifts of submodules, and
 # lifting preserves inclusion and intersection, so every entry point reads one
 # memoized layer of F_p keys, `_residue_layer`, and lifts only what it needs.
@@ -344,37 +346,6 @@ def _spin(vec, shifted, p: int, n: int):
     return tuple(tuple(row) for _, row in basis)
 
 
-def _submodules_from_spins(vectors, action, p: int, n: int, bounds: Bounds):
-    """Spin each vector and close the cyclic submodules under joins.
-
-    Returns every submodule when each submodule is a join of spins of the
-    given vectors, as canonical echelon keys, together with the key of the
-    whole space.  Raises ScaleError once n^3 times their number passes the bound.
-    """
-    full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    shifted = _shifted_terms(action)
-    cyclic = set()
-    for vec in vectors:
-        key = _spin(vec, shifted, p, n)
-        cyclic.add(full if key is None else key)
-    subs = set(cyclic)
-    subs.add(())
-    subs.add(full)
-    frontier = list(subs)
-    while frontier:
-        new = []
-        for a in frontier:
-            for b in cyclic:
-                j = _echelon(a + b, p)
-                if j not in subs:
-                    subs.add(j)
-                    new.append(j)
-                    if n**3 * len(subs) > bounds.spinning_max_order:
-                        raise ScaleError("spinning-scale-exceeded: too many submodules")
-        frontier = new
-    return subs, full
-
-
 def _mat_mul_mod(a, b, p: int) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
@@ -392,14 +363,6 @@ def _nullspace_mod(rows, p: int, n: int) -> list[list[int]]:
                 v[pos] = -row[free] % p
             out.append(v)
     return out
-
-
-def _meet(keys, p: int, n: int):
-    """The intersection of subspaces: the annihilator of their summed annihilators.
-
-    The empty intersection is the whole space.
-    """
-    return _echelon(_nullspace_mod([u for k in keys for u in _nullspace_mod(k, p, n)], p, n), p)
 
 
 # Polynomials over F_p are coefficient lists, constant term first, with no
@@ -532,23 +495,27 @@ def _poly_at_matrix(f: list[int], mat: list[list[int]], p: int) -> list[list[int
 
 
 def _word_submodules(action, p: int, n: int, bounds: Bounds):
-    """Every submodule, from one spin per irreducible factor of chi.
+    """One pair (k, K) per irreducible factor f of chi: k spans part of the
+    block ker f(B), and K is its spin, the least submodule holding the block.
 
     chi is the characteristic polynomial of the first prefix product
-    A_1 ... A_k of the action matrices that is squarefree over F_p.  Raises
+    B = A_1 ... A_k of the action matrices that is squarefree over F_p.  Raises
     ScaleError above the estimate n^3 (n + p), ValueError with no such product.
     """
     if n**3 * (n + p) > bounds.spinning_max_order:
         raise ScaleError("spinning-scale-exceeded: residue module is too large")
+    full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    shifted = _shifted_terms(action)
     word = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for rows in action:
         word = _mat_mul_mod(word, rows, p)
         chi = _charpoly_mod(word, p)
         if _is_squarefree(chi, p):
             kernels = [
-                _nullspace_mod(_poly_at_matrix(f, word, p), p, n)[0] for f in _berlekamp(chi, p)
+                tuple(_nullspace_mod(_poly_at_matrix(f, word, p), p, n)[0])
+                for f in _berlekamp(chi, p)
             ]
-            return _submodules_from_spins(kernels, action, p, n, bounds)
+            return [(k, _spin(k, shifted, p, n) or full) for k in kernels]
     raise ValueError(f"no-semisimple-word: no prefix product is squarefree mod {p}")
 
 
@@ -575,24 +542,33 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
 def _residue_layer(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
     """The maximal submodules of L/pL, their meet, and the Moebius values above it.
 
-    F_p keys (maximal, radical, moebius): moebius maps each submodule x that
-    contains the radical to mu(x) = -sum of mu(y) over the y above x, which by
-    Rota's crosscut theorem is the sum of (-1)^|J| over the sets J of maximal
-    submodules meeting in x.  A tripped bound, a family without a semisimple
-    word or a composite p raises, which is never cached.
+    F_p keys (maximal, radical, moebius), read off the spins of the blocks of
+    `_word_submodules` as the section comment describes; moebius maps each
+    member of the radical interval to its value.  A tripped bound, a family
+    without a semisimple word or a composite p raises, which is never cached.
     """
     _require_prime(p)
     n = lattice.dim
-    subs, full = _word_submodules(_residue_action(lattice, gens, p), p, n, bounds)
-    proper = [s for s in subs if s != full]
-    maximal = tuple(
-        s for s in proper if not any(len(o) > len(s) and _echelon(o + s, p) == o for o in proper)
-    )
-    radical = _meet(maximal, p, n)
-    moebius: dict[tuple, int] = {}
-    for s in sorted((s for s in subs if _echelon(s + radical, p) == s), key=len, reverse=True):
-        above = (m for o, m in moebius.items() if len(o) > len(s) and _echelon(o + s, p) == o)
-        moebius[s] = 1 if s == full else -sum(above)
+    pairs = _word_submodules(_residue_action(lattice, gens, p), p, n, bounds)
+    # One kernel vector per distinct spin: a spin lies in K when its vector does,
+    # and under[K] holds the spins inside K.
+    vector = {spin: k for k, spin in pairs}
+    under = {
+        big: {s for s, k in vector.items() if _echelon(big + (k,), p) == big} for big in vector
+    }
+    classes = [s for s in under if not any(s in under[o] for o in under if o != s)]
+    if n**3 * 2 ** len(classes) > bounds.spinning_max_order:
+        raise ScaleError("spinning-scale-exceeded: too many submodules")
+
+    def join(keys):
+        return _echelon([row for key in keys for row in key], p)
+
+    radical = join(s for s in under if s not in classes)
+    maximal = tuple(join([radical] + [c for c in classes if c != out]) for out in classes)
+    moebius = {
+        join([radical] + [c for c, kept in zip(classes, keep) if kept]): (-1) ** keep.count(False)
+        for keep in product((False, True), repeat=len(classes))
+    }
     return maximal, radical, MappingProxyType(moebius)
 
 
@@ -602,10 +578,10 @@ def maximal_sublattices_p(
     """All maximal stable sublattices N with pL contained in N.
 
     These correspond to the maximal invariant subspaces of the residue module
-    L/pL.  Its submodule lattice comes from one spin per irreducible factor
-    of a semisimple generator word; ValueError is raised when no prefix
-    product of the generators is semisimple mod p.  When the residue module
-    is irreducible the only such sublattice is pL itself.
+    L/pL, which come from one spin per irreducible factor of a semisimple
+    generator word; ValueError is raised when no prefix product of the
+    generators is semisimple mod p.  When the residue module is irreducible
+    the only such sublattice is pL itself.
     """
     maximal = _residue_layer(lattice, gens, p, bounds)[0]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal)
@@ -942,7 +918,3 @@ def classify_sublattice(sub: LatticeBasis, n: int, p: int) -> tuple[int, int]:
     if c != p**a or d != p**b:
         raise LatticeError("sublattice is not p^a L(p^b)")
     return (a, b)
-
-
-def lattices_to_json(lats) -> list[dict]:
-    return [matrix_to_json(l.hnf) for l in lats]

@@ -28,12 +28,7 @@ from typing import NamedTuple
 from . import craig
 from .arith import content
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
-from .exactmat import (
-    IntMatrix,
-    LatticeBasis,
-    LatticeError,
-    matrix_to_json,
-)
+from .exactmat import IntMatrix, LatticeBasis, LatticeError
 
 
 @dataclass(frozen=True)
@@ -380,7 +375,3 @@ def identify_specht_lattice(a: RepGenerators, b: RepGenerators) -> tuple[IntMatr
     if d is None:
         raise LatticeError("intertwined lattice matches no stable representative")
     return p, d
-
-
-def generators_to_json(gens: RepGenerators) -> dict:
-    return {"n": gens.n, "generators": [matrix_to_json(m) for m in gens.mats]}

@@ -1,6 +1,7 @@
 import random
 from functools import reduce
 from itertools import combinations, product
+from operator import mul
 
 import pytest
 
@@ -51,11 +52,6 @@ def projective_reps(n, p):
     for lead in range(n):
         for tail in product(range(p), repeat=n - lead - 1):
             yield (0,) * lead + (1,) + tail
-
-
-def exhaustive_submodules(action, p, n):
-    """The oracle: every action-invariant subspace of F_p^n, by spinning every line."""
-    return craig._submodules_from_spins(projective_reps(n, p), action, p, n, DEFAULT_BOUNDS)
 
 
 def integer_moebius(lattice, maximal, target):
@@ -111,18 +107,48 @@ def assert_shifted_form(action, shifted, p=None):
 
 def dense_closure(vec, action, p):
     """The echelon key of the smallest subspace holding vec that every dense
-    action matrix maps into itself, mod p."""
-    key = craig._echelon([vec], p)
-    while True:
-        images = tuple(
-            tuple(sum(a * x for a, x in zip(row, v)) % p for row in rows)
-            for rows in action
-            for v in key
-        )
-        grown = craig._echelon(key + images, p)
-        if grown == key:
-            return key
-        key = grown
+    action matrix maps into itself, mod p: the span of vec and of the images
+    of every vector that enlarged it."""
+    basis = []
+    craig._rref_insert(basis, list(vec), p)
+    queue = [vec]
+    while queue:
+        v = queue.pop()
+        for rows in action:
+            img = [sum(map(mul, row, v)) % p for row in rows]
+            if craig._rref_insert(basis, img, p):
+                queue.append(img)
+    return tuple(tuple(row) for _, row in basis)
+
+
+def exhaustive_layer(action, p, n):
+    """The oracle: (maximal, radical, moebius) of the submodules of F_p^n
+    under the dense action, from their definitions.
+
+    Every submodule is the join of the closures of its lines, so closing the
+    closures of all lines under joins yields every submodule.  The radical is
+    the largest submodule inside every maximal one, and moebius maps each
+    submodule x above it to mu(x) = -sum of mu(y) over the y above x.
+    """
+    full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    cyclic = {dense_closure(vec, action, p) for vec in projective_reps(n, p)}
+    subs = cyclic | {(), full}
+    frontier = subs
+    while frontier:
+        frontier = {craig._echelon(a + b, p) for a in frontier for b in cyclic} - subs
+        subs |= frontier
+
+    def inside(small, big):
+        return craig._echelon(big + small, p) == big
+
+    proper = subs - {full}
+    maximal = [m for m in proper if not any(o != m and inside(m, o) for o in proper)]
+    radical = max((s for s in subs if all(inside(s, m) for m in maximal)), key=len)
+    moebius = {}
+    for x in sorted((s for s in subs if inside(radical, s)), key=len, reverse=True):
+        above = (mu for y, mu in moebius.items() if y != x and inside(x, y))
+        moebius[x] = 1 if x == full else -sum(above)
+    return sorted(maximal), radical, moebius
 
 
 class TestCraigLattice:
@@ -232,7 +258,35 @@ class TestMaximalSublattices:
 
 class TestResidueSubmodules:
     def test_word_spins_match_exhaustive_spinning(self):
-        cases = 0
+        # The residue layer read off the word's blocks equals the oracle's on
+        # every family lattice with p^n <= 512, and on seeded integer actions
+        # on Z^2 to Z^4 with p^n <= 256, where a family without a semisimple
+        # word must raise.  The grid reaches a block below another, two top
+        # classes, and two kernel vectors with one spin.
+        cases, reached = 0, set()
+
+        def compare(lat, gens, p):
+            n = lat.dim
+            acts = _residue_action(lat, gens, p)
+            maximal, radical, moebius = exhaustive_layer(acts, p, n)
+            try:
+                got = craig._residue_layer(lat, gens, p, DEFAULT_BOUNDS)
+            except ValueError as exc:
+                assert "no-semisimple-word" in str(exc), (gens, p)
+                reached.add("no semisimple word")
+                return
+            assert (sorted(got[0]), got[1], dict(got[2])) == (maximal, radical, moebius), (gens, p)
+            spins = [key for _, key in _word_submodules(acts, p, n, DEFAULT_BOUNDS)]
+            reached.update(
+                name
+                for name, hit in (
+                    ("non-top block", radical != ()),
+                    ("two top classes", len(maximal) > 1),
+                    ("equal spins", len(set(spins)) < len(spins)),
+                )
+                if hit
+            )
+
         for n in range(2, 10):
             for p in (2, 3, 5, 7, 11, 13):
                 if p**n > 512:
@@ -240,11 +294,17 @@ class TestResidueSubmodules:
                 pairs = [(craig_lattice(n, d).basis, craig_generators(n)) for d in divisors(n + 1)]
                 pairs.append((LatticeBasis(IntMatrix.identity(n)), specht_generators_closed(n)))
                 for lat, gens in pairs:
-                    acts = _residue_action(lat, gens, p)
-                    got = _word_submodules(acts, p, n, DEFAULT_BOUNDS)
-                    assert got == exhaustive_submodules(acts, p, n), (n, p)
+                    compare(lat, gens, p)
                     cases += 1
         assert cases == 67
+        rng = random.Random(13)
+        for _ in range(12):
+            for n in (2, 3, 4):
+                for gens in integer_families(rng, n):
+                    for p in (2, 3, 5):
+                        if p**n <= 256:
+                            compare(LatticeBasis(IntMatrix.identity(n)), gens, p)
+        assert reached == {"non-top block", "two top classes", "equal spins", "no semisimple word"}
 
     def test_spin_matches_the_dense_closure(self):
         # Every L(d) with n <= 7 at every p <= 7, and integer actions on Z^n;
@@ -284,31 +344,23 @@ class TestResidueSubmodules:
             with pytest.raises(ValueError, match="no-semisimple-word"):
                 maximal_sublattices_p(lat, gens, p)
 
-    def test_subspace_lattice_interval_from_the_exhaustive_oracle(self, monkeypatch):
-        # Identity generators, with the oracle in place of the word path:
-        # every subspace of F_p^3 is a submodule, and the Moebius value at
-        # codimension k is (-1)^k p^(k(k-1)/2).  At p = 3 there are 13
-        # maximal submodules.
+    def test_subspace_lattice_interval_from_the_exhaustive_oracle(self):
+        # Identity generators, through the oracle's generic layer (the word
+        # path rejects them): every subspace of F_p^3 is a submodule, the
+        # radical is pL, and the Moebius value at codimension k is
+        # (-1)^k p^(k(k-1)/2).  At p = 3 there are 13 maximal submodules.
         n = 3
         gens = RepGenerators(n, (IntMatrix.identity(n),) * n)
         lat = craig_lattice(n, 1).basis
-
-        def oracle(action, p, n, bounds):
-            return exhaustive_submodules(action, p, n)
-
-        craig._residue_layer.cache_clear()
-        monkeypatch.setattr(craig, "_word_submodules", oracle)
-        try:
-            for p in (2, 3):
-                members = phi_p(lat, gens, p)
-                assert rad_p(lat, gens, p) == lat.scale(p)
-                codims = [valuation(lattice_index(lat, member), p) for member in members]
-                lines = p * p + p + 1
-                assert sorted(codims) == [0] + [1] * lines + [2] * lines + [3]
-                for member, k in zip(members, codims):
-                    assert mu_p(lat, gens, p, member) == (-1) ** k * p ** (k * (k - 1) // 2)
-        finally:
-            craig._residue_layer.cache_clear()
+        for p, size in ((2, 16), (3, 28)):
+            maximal, radical, moebius = exhaustive_layer(_residue_action(lat, gens, p), p, n)
+            assert craig._lift_subspace(lat, radical, p) == lat.scale(p)
+            codims = [n - len(key) for key in moebius]
+            lines = p * p + p + 1
+            assert len(maximal) == lines and len(moebius) == size
+            assert sorted(codims) == [0] + [1] * lines + [2] * lines + [3]
+            for key, k in zip(moebius, codims):
+                assert moebius[key] == (-1) ** k * p ** (k * (k - 1) // 2)
 
     def test_every_family_lattice_has_a_semisimple_word(self):
         # Every L(d) under the standard action and the Specht lattice, at
