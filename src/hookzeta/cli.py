@@ -4,8 +4,8 @@ Subcommands: zeta, coeffs, enumerate, identify, verify, specht.
 Exit codes: 0 success, 1 verification or identification failure (or a reader
 that closed standard output early), 2 bad or unreadable input, or a
 computation above a configured bound (`--bound-*`; `specht --n` above
-`--bound-specht-n` and `coeffs --limit` above `--bound-coeffs-limit` stop
-before any work).
+`--bound-specht-n`, `coeffs --limit` above `--bound-coeffs-limit` and
+`enumerate --max-exp` above `--bound-max-exp` stop before any work).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ _BOUND_FLAGS = (
         "spinning_max_order",
         "largest residue-spinning estimate n^3 (n + p), and n^3 per member of the radical interval",
     ),
+    ("--bound-max-exp", "walk_max_exp", "largest --max-exp accepted by enumerate"),
     ("--bound-specht-n", "specht_max_n", "largest n accepted by specht"),
     ("--bound-coeffs-limit", "coeffs_max_limit", "largest --limit accepted by coeffs"),
 )
@@ -97,6 +98,8 @@ def cmd_enumerate(args) -> int:
             top, power = top + 1, power * args.prime
         if args.max_exp > top:
             raise ScaleError("enumeration-scale-exceeded: oracle range above configured bound")
+    if args.max_exp > bounds.walk_max_exp:
+        raise ScaleError(f"walk-scale-exceeded: --max-exp is above {bounds.walk_max_exp}")
     gens = specht.craig_generators(args.n)
     base = craig.craig_lattice(args.n, args.d).basis
     if not craig.is_g_stable(base, gens):

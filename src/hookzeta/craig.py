@@ -38,6 +38,7 @@ from .exactmat import (
     is_scalar_multiple,
     lattice_intersect,
     solve_in_lattice,
+    solve_triangular,
 )
 
 __all__ = [
@@ -212,27 +213,41 @@ _LAYER_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
 def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
-    """The generators written in the lattice's basis, as row tuples.
+    """The generators written in the lattice's basis H, as row tuples.
 
-    Memoized per (lattice, generators): every census and residue layer of a
-    lattice reads the same rows.  An unstable lattice raises LatticeError,
-    which is never cached.
+    A generator A = cI + S in the form of `_shifted_terms` becomes
+    H^-1 A H = cI + H^-1 (S H): S H is nonzero only in the rows of S, and each
+    nonzero column of it takes one triangular solve.  Memoized per (lattice,
+    generators): every census and residue layer of a lattice reads the same
+    rows.  An unstable lattice raises LatticeError, which is never cached.
     """
-    rows = []
-    for m in gens.mats:
-        a = action_in_basis(lattice, m)
-        if a is None:
-            raise LatticeError("lattice is not stable under the given action")
-        rows.append(a.entries)
-    return tuple(rows)
+    n = lattice.dim
+    if gens.n != n:
+        raise LatticeError("dimension mismatch")
+    h = lattice.hnf
+    out = []
+    for c, terms in _shifted_terms(m.entries for m in gens.mats):
+        cols = []
+        for j in range(n):
+            col = [0] * n
+            for r, row in terms:
+                col[r] = sum(x * h.entries[k][j] for k, x in row)
+            x = solve_triangular(h, col) if any(col) else col
+            if x is None:
+                raise LatticeError("lattice is not stable under the given action")
+            x[j] += c
+            cols.append(x)
+        out.append(tuple(zip(*cols)))
+    return tuple(out)
 
 
 def _shifted_terms(action) -> tuple:
-    """Each generator A as the nonzero rows (row, ((col, coeff), ...)) of A - cI.
+    """Each generator A as (c, terms): terms are the nonzero rows
+    (row, ((col, coeff), ...)) of S = A - cI.
 
     c is A's commonest diagonal entry, -1 for most transpositions (-I plus rank
-    one).  cI maps every lattice and F_p subspace into itself, so A and A - cI
-    have the same invariant ones.  Kept terms of a reduced action are nonzero mod p.
+    one).  cI maps every lattice and F_p subspace into itself, so A and S have
+    the same invariant ones.  Kept terms of a reduced action are nonzero mod p.
     """
     shifted = []
     for rows in action:
@@ -243,7 +258,7 @@ def _shifted_terms(action) -> tuple:
             kept = tuple((j, x - c * (i == j)) for j, x in enumerate(row) if x != c * (i == j))
             if kept:
                 terms.append((i, kept))
-        shifted.append(tuple(terms))
+        shifted.append((c, tuple(terms)))
     return tuple(shifted)
 
 
@@ -268,20 +283,22 @@ def _shifted_terms(action) -> tuple:
 # spins outside one top class, the radical is the join of the spins that are
 # not top, and the radical interval is Boolean: 2^t joins that leave out a
 # set U of top classes, with Moebius value (-1)^|U|.  The words tried are the
-# prefix products A_1 ... A_k of the generators; for the transpositions
-# s_1, ..., s_n of the hook module, s_1 ... s_(n-1) is an n-cycle with
-# chi = x^n - 1 and s_1 ... s_n is an (n+1)-cycle with chi = 1 + x + ... + x^n,
-# and no prime divides both n and n+1, so one of them is squarefree mod every
-# p; a family with no squarefree prefix raises "no-semisimple-word".  The bound
-# `spinning_max_order` prices this path as n^3 (n + p): up to n dense prefix
-# products, characteristic polynomials and Horner kernels at O(n^3) each, and
-# Berlekamp's loops over range(p) at O(n^3 p).  Once the spins are known it
-# adds n^3 per member of the radical interval and stops at the same bound.
+# prefix products A_1 ... A_k of the generators, longest first: for the
+# transpositions s_1, ..., s_n of the hook module, s_1 ... s_n is an
+# (n+1)-cycle with chi = 1 + x + ... + x^n and s_1 ... s_(n-1) an n-cycle with
+# chi = x^n - 1, and no prime divides both n and n+1, so one of the two is
+# squarefree mod every p; a family with no squarefree prefix raises
+# "no-semisimple-word".  No word is formed as a matrix: B acts on vectors as
+# its sparse factors cI + S, chi is the product of the relative minimal
+# polynomials of e_1, e_2, ..., and (chi / f)(B) e_j is a kernel vector of
+# f(B) (the spin-and-split step of the MeatAxe, Holt and Rees 1994).  The
+# bound `spinning_max_order` prices this path as n^3 (n + p): up to n words
+# whose chi reduces at most 2n Krylov vectors at O(n^2) each, and Berlekamp's
+# loops over range(p) at O(n^3 p).  Once the spins are known it adds n^3 per
+# member of the radical interval and stops at the same bound.
 # The stable lattices between pL and L are the lifts of submodules, and
 # lifting preserves inclusion and intersection, so every entry point reads one
 # memoized layer of F_p keys, `_residue_layer`, and lifts only what it needs.
-# The words are dense, but spins apply each generator A as the sparse A - cI
-# of `_shifted_terms`.
 # ---------------------------------------------------------------------------
 
 
@@ -296,9 +313,9 @@ def _rref_insert(basis: list[tuple[int, list[int]]], vec: list[int], p: int) -> 
         c = v[pos]
         if c:
             v = [(x - c * y) % p for x, y in zip(v, row)]
-    lead = next((i for i, x in enumerate(v) if x), None)
-    if lead is None:
+    if not any(v):
         return False
+    lead = next(i for i, x in enumerate(v) if x)
     inv = pow(v[lead], p - 2, p) if p > 2 else v[lead]
     v = [(x * inv) % p for x in v]
     for pos, row in basis:
@@ -332,7 +349,7 @@ def _spin(vec, shifted, p: int, n: int):
     queue = [list(vec)]
     while queue:
         w = queue.pop()
-        for terms in shifted:
+        for _, terms in shifted:
             img = [0] * n
             for r, row in terms:
                 s = 0
@@ -346,23 +363,14 @@ def _spin(vec, shifted, p: int, n: int):
     return tuple(tuple(row) for _, row in basis)
 
 
-def _mat_mul_mod(a, b, p: int) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in cols] for row in a]
-
-
 def _nullspace_mod(rows, p: int, n: int) -> list[list[int]]:
     """A basis of the vectors v in F_p^n with row . v = 0 for every row."""
     basis = {next(i for i, x in enumerate(row) if x): row for row in _echelon(rows, p)}
-    out = []
-    for free in range(n):
-        if free not in basis:
-            v = [0] * n
-            v[free] = 1
-            for pos, row in basis.items():
-                v[pos] = -row[free] % p
-            out.append(v)
-    return out
+    return [
+        [-basis[i][free] % p if i in basis else int(i == free) for i in range(n)]
+        for free in range(n)
+        if free not in basis
+    ]
 
 
 # Polynomials over F_p are coefficient lists, constant term first, with no
@@ -375,70 +383,34 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
+def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     a = a[:]
+    quo = [0] * max(len(a) - len(b) + 1, 0)
     inv = pow(b[-1], -1, p)
     while len(a) >= len(b):
         c = a[-1] * inv % p
         shift = len(a) - len(b)
+        quo[shift] = c
         for i, y in enumerate(b):
             a[shift + i] = (a[shift + i] - c * y) % p
         _poly_trim(a)
-    return a
+    return quo, a
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     """Monic gcd of two polynomials, a nonzero."""
     while b:
-        a, b = b, _poly_rem(a, b, p)
+        a, b = b, _poly_divmod(a, b, p)[1]
     inv = pow(a[-1], -1, p)
     return [x * inv % p for x in a]
 
 
-def _poly_mul_rem(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     prod = [0] * (len(a) + len(b))
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
-    return _poly_rem([x % p for x in prod], f, p)
-
-
-def _charpoly_mod(mat: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial over F_p, via reduction to Hessenberg form."""
-    n = len(mat)
-    h = [row[:] for row in mat]
-    for m in range(1, n - 1):
-        i = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if i is None:
-            continue
-        if i != m:
-            h[i], h[m] = h[m], h[i]
-            for row in h:
-                row[i], row[m] = row[m], row[i]
-        inv = pow(h[m][m - 1], -1, p)
-        for r in range(m + 1, n):
-            u = h[r][m - 1] * inv % p
-            if u:
-                # Similarity by an elementary matrix: row r -= u row m, then
-                # column m += u column r.
-                h[r] = [(x - u * y) % p for x, y in zip(h[r], h[m])]
-                for row in h:
-                    row[m] = (row[m] + u * row[r]) % p
-    # chi_m is the characteristic polynomial of the leading m x m block.
-    chis = [[1]]
-    for m in range(1, n + 1):
-        prev = chis[m - 1]
-        chi = [0] + prev
-        for k, c in enumerate(prev):
-            chi[k] -= h[m - 1][m - 1] * c
-        t = 1
-        for i in range(1, m):
-            t = t * h[m - i][m - i - 1] % p
-            coef = t * h[m - i - 1][m - 1]
-            for k, c in enumerate(chis[m - i - 1]):
-                chi[k] -= coef * c
-        chis.append([x % p for x in chi])
-    return chis[n]
+    return _poly_trim([x % p for x in prod])
 
 
 def _is_squarefree(f: list[int], p: int) -> bool:
@@ -457,17 +429,12 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     dimension per irreducible factor, which says when to stop.
     """
     n = len(f) - 1
-    x_p = [1]
-    for _ in range(p):
-        x_p = _poly_mul_rem(x_p, [0, 1], f, p)
+    x_p = _poly_divmod([0] * p + [1], f, p)[1]
     q = [[1]]
     for _ in range(1, n):
-        q.append(_poly_mul_rem(q[-1], x_p, f, p))
-    q_minus_i = [[0] * n for _ in range(n)]
-    for i, row in enumerate(q):
-        for j, c in enumerate(row):
-            q_minus_i[j][i] = c
-        q_minus_i[i][i] = (q_minus_i[i][i] - 1) % p
+        q.append(_poly_divmod(_poly_mul(q[-1], x_p, p), f, p)[1])
+    q = [row + [0] * (n - len(row)) for row in q]
+    q_minus_i = [[(q[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
     algebra = _nullspace_mod(q_minus_i, p, n)
     factors = [f]
     for g in algebra:
@@ -484,39 +451,102 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     return factors
 
 
-def _poly_at_matrix(f: list[int], mat: list[list[int]], p: int) -> list[list[int]]:
-    n = len(mat)
-    out = [[0] * n for _ in range(n)]
-    for c in reversed(f):
-        out = _mat_mul_mod(out, mat, p)
-        for i in range(n):
-            out[i][i] = (out[i][i] + c) % p
+def _word_action(factors, p: int):
+    """vec -> B vec for the word B = A_1 ... A_k, from the (c, terms) of its
+    factors mod p: A = c (I + S/c) updates the rows of S alone, and the scalars
+    c are applied once at the end (a factor with c = 0 is S itself)."""
+    scale = reduce(lambda acc, c: acc * (c or 1) % p, (c for c, _ in factors), 1)
+    steps = [
+        (c, [(r, [(j, x * pow(c or 1, -1, p) % p) for j, x in row]) for r, row in terms])
+        for c, terms in reversed(factors)
+    ]
+
+    def apply(vec):
+        u = list(vec)
+        for c, terms in steps:
+            sums = [(r, sum(x * u[j] for j, x in row)) for r, row in terms]
+            u = u if c else [0] * len(u)
+            for r, s in sums:
+                u[r] = (u[r] + s) % p
+        return [x * scale % p for x in u]
+
+    return apply
+
+
+def _relative_minpolys(apply, p: int, n: int) -> list[tuple[int, list[int], list]]:
+    """Triples (j, g_j, [e_j, B e_j, ..., B^deg(g_j) e_j]), g_j the least monic g
+    with g(B) e_j in the B-invariant span W of e_0, ..., e_(j-1), so that chi(B)
+    is their product (Keller-Gehrig, "Fast algorithms for the characteristic
+    polynomial", 1985).  Each Krylov vector is reduced against W and the chain
+    so far, tracking its polynomial in B; starts already in W are skipped."""
+    span: list = []  # rows (pivot, row, ()) of W with unit pivots, met before the chain
+    out = []
+    for j in range(n):
+        if len(span) == n:
+            break
+        vec, chain, krylov = [int(i == j) for i in range(n)], [], []
+        while True:
+            krylov.append(vec)
+            w, poly = vec, [0] * len(chain) + [1]
+            for pos, row, rpoly in span + chain:
+                c = w[pos]
+                if c:
+                    w = [(x - c * y) % p for x, y in zip(w, row)]
+                    poly[: len(rpoly)] = [(x - c * y) % p for x, y in zip(poly, rpoly)]
+            if not any(w):
+                break
+            lead = next(i for i, x in enumerate(w) if x)
+            inv = pow(w[lead], -1, p)
+            chain.append((lead, [x * inv % p for x in w], [x * inv % p for x in poly]))
+            vec = apply(vec)
+        if chain:
+            out.append((j, poly, krylov))
+            span += [(pos, row, ()) for pos, row, _ in chain]
     return out
 
 
-def _word_submodules(action, p: int, n: int, bounds: Bounds):
-    """One pair (k, K) per irreducible factor f of chi: k spans part of the
-    block ker f(B), and K is its spin, the least submodule holding the block.
+def _word_kernels(shifted, p: int, n: int):
+    """(k, chi, kernels) for the longest prefix word B = A_1 ... A_k whose
+    characteristic polynomial chi is squarefree over F_p, or ValueError.
 
-    chi is the characteristic polynomial of the first prefix product
-    B = A_1 ... A_k of the action matrices that is squarefree over F_p.  Raises
-    ScaleError above the estimate n^3 (n + p), ValueError with no such product.
+    kernels holds one (f, vec) per irreducible factor f of chi: vec is
+    (chi / f)(B) e_j for a start e_j whose relative minimal polynomial f
+    divides, a sum of its Krylov vectors when they reach deg(chi / f) (as
+    for a cyclic e_0), else by Horner's rule.  f(B) vec = chi(B) e_j = 0, and
+    vec is nonzero since f divides the minimal polynomial of e_j but not chi / f.
+    """
+    for k in range(len(shifted), 0, -1):
+        apply = _word_action(shifted[:k], p)
+        starts = _relative_minpolys(apply, p, n)
+        chi = reduce(lambda a, b: _poly_mul(a, b, p), (g for _, g, _ in starts))
+        if not _is_squarefree(chi, p):
+            continue
+        kernels = []
+        for f in _berlekamp(chi, p):
+            j, krylov = next((j, kr) for j, g, kr in starts if not _poly_divmod(g, f, p)[1])
+            quo = _poly_divmod(chi, f, p)[0]
+            if len(quo) <= len(krylov):
+                vec = [sum(c * v[i] for c, v in zip(quo, krylov)) % p for i in range(n)]
+            else:
+                vec = krylov[0]
+                for c in reversed(quo[:-1]):
+                    vec = apply(vec)
+                    vec[j] = (vec[j] + c) % p
+            kernels.append((f, vec))
+        return k, chi, kernels
+    raise ValueError(f"no-semisimple-word: no prefix product is squarefree mod {p}")
+
+
+def _word_submodules(action, p: int, n: int, bounds: Bounds):
+    """One pair (k, K) per irreducible factor f of the chi of `_word_kernels`:
+    k spans part of the block ker f(B), and K is its spin, the least submodule
+    holding the block.  Raises ScaleError above the estimate n^3 (n + p).
     """
     if n**3 * (n + p) > bounds.spinning_max_order:
         raise ScaleError("spinning-scale-exceeded: residue module is too large")
     full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     shifted = _shifted_terms(action)
-    word = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for rows in action:
-        word = _mat_mul_mod(word, rows, p)
-        chi = _charpoly_mod(word, p)
-        if _is_squarefree(chi, p):
-            kernels = [
-                tuple(_nullspace_mod(_poly_at_matrix(f, word, p), p, n)[0])
-                for f in _berlekamp(chi, p)
-            ]
-            return [(k, _spin(k, shifted, p, n) or full) for k in kernels]
-    raise ValueError(f"no-semisimple-word: no prefix product is squarefree mod {p}")
+    return [(tuple(k), _spin(k, shifted, p, n) or full) for _, k in _word_kernels(shifted, p, n)[2]]
 
 
 def _residue_action(lattice: LatticeBasis, gens, p: int) -> tuple:
@@ -720,7 +750,7 @@ def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeB
     """
     n = lattice.dim
     rows_of, ready_of, busy_of, reads_of = [], [], [], []
-    for terms in _shifted_terms(_conjugated_action_rows(lattice, gens)):
+    for _, terms in _shifted_terms(_conjugated_action_rows(lattice, gens)):
         rows = [()] * n
         for r, row in terms:
             rows[r] = row
@@ -863,43 +893,6 @@ def enumerate_index_sublattices(
             return []
         found = layer if found is None else [lattice_intersect(x, y) for x in found for y in layer]
     return _sorted_lattices(found)
-
-
-def _all_triangular_bases(n: int, m: int):
-    """Every canonical lower-triangular basis of index m (no stability filter)."""
-    diags = [()]
-    for _ in range(n):
-        diags = [d + (x,) for d in diags for x in divisors(m)]
-    for diag in diags:
-        prod_diag = 1
-        for x in diag:
-            prod_diag *= x
-        if prod_diag != m:
-            continue
-        free = [(i, j) for i in range(n) for j in range(i) if diag[i] > 1]
-        for values in product(*(range(diag[i]) for i, _ in free)):
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diag[i]
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield IntMatrix(rows)
-
-
-def enumerate_index_sublattices_naive(
-    lattice: LatticeBasis, gens, m: int, bounds: Bounds = DEFAULT_BOUNDS
-) -> list[LatticeBasis]:
-    """Reference census: generate every triangular basis of index m, filter by
-    stability.  Exponentially slower than the pruned walk; used to validate it."""
-    if m > bounds.index_enumeration_max:
-        raise ScaleError("enumeration-scale-exceeded: index above configured bound")
-    n = lattice.dim
-    out = []
-    for h in _all_triangular_bases(n, m):
-        ambient = LatticeBasis(IntMatrix.from_columns([lattice.hnf.apply(h.column(j)) for j in range(n)]))
-        if is_g_stable(ambient, gens):
-            out.append(ambient)
-    return _sorted_lattices(out)
 
 
 def classify_sublattice(sub: LatticeBasis, n: int, p: int) -> tuple[int, int]:

@@ -8,7 +8,7 @@ from unittest.mock import Mock
 
 import pytest
 
-from hookzeta import cli, specht, zeta
+from hookzeta import cli, craig, specht, zeta
 from hookzeta.bounds import DEFAULT_BOUNDS, Bounds
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import matrix_to_json
@@ -454,6 +454,23 @@ class TestBoundOverrides:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: enumeration-scale-exceeded")
+
+    def test_walk_exponent_bound(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("enumerate computed above its bound")
+
+        argv = ["enumerate", "--n", "2", "--d", "1", "--prime", "3", "--max-exp"]
+        with monkeypatch.context() as patch:
+            patch.setattr(craig, "is_g_stable", forbidden)
+            patch.setattr(craig, "enumerate_p_sublattices", forbidden)
+            code, out, err = run(capsys, *argv, "1000000")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: walk-scale-exceeded")
+            code, out, err = run(capsys, "--bound-max-exp", "3", *argv, "4")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: walk-scale-exceeded")
+        code, out, _ = run(capsys, "--bound-max-exp", "4", *argv, "4", "--format", "text")
+        assert (code, out) == (0, "1 1 1 1 1\n")
 
     def test_tripped_spin_bound_stops_verify(self, capsys):
         code, out, err = run(capsys, "--bound-spin", "5", "verify", "--n-max", "2")

@@ -10,10 +10,10 @@ from hookzeta.arith import divisors, prime_factorization, valuation
 from hookzeta.bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from hookzeta.craig import (
     ScaledCraigLattice,
+    action_in_basis,
     classify_sublattice,
     craig_lattice,
     enumerate_index_sublattices,
-    enumerate_index_sublattices_naive,
     enumerate_p_sublattices,
     identify_stable_lattice,
     is_g_stable,
@@ -88,16 +88,16 @@ def integer_families(rng, n):
 
 
 def assert_shifted_form(action, shifted, p=None):
-    """Each generator's sparse form is A - cI, c a commonest diagonal entry."""
+    """Each generator's sparse form is (c, A - cI), c a commonest diagonal entry."""
     reduce_p = (lambda x: x) if p is None else (lambda x: x % p)
-    for rows, terms in zip(action, shifted):
+    for rows, (c, terms) in zip(action, shifted):
         n = len(rows)
         dense = [[0] * n for _ in range(n)]
         for r, row in terms:
             for j, x in row:
                 assert reduce_p(x)
                 dense[r][j] = x
-        c = reduce_p(rows[0][0] - dense[0][0])
+        assert c == reduce_p(rows[0][0] - dense[0][0])
         for i in range(n):
             for j in range(n):
                 assert reduce_p(rows[i][j] - dense[i][j]) == (c if i == j else 0)
@@ -149,6 +149,100 @@ def exhaustive_layer(action, p, n):
         above = (mu for y, mu in moebius.items() if y != x and inside(x, y))
         moebius[x] = 1 if x == full else -sum(above)
     return sorted(maximal), radical, moebius
+
+
+def all_triangular_bases(n, m):
+    """Every canonical lower-triangular basis of index m (no stability filter)."""
+    for diag in product(divisors(m), repeat=n):
+        if reduce(mul, diag) != m:
+            continue
+        free = [(i, j) for i in range(n) for j in range(i) if diag[i] > 1]
+        for values in product(*(range(diag[i]) for i, _ in free)):
+            rows = [[diag[i] * (i == j) for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield IntMatrix(rows)
+
+
+def enumerate_index_sublattices_naive(lattice, gens, m):
+    """The oracle census: every triangular basis of index m, filtered by the
+    dense `is_g_stable`.  Exponentially slower than the pruned walk."""
+    out = []
+    for h in all_triangular_bases(lattice.dim, m):
+        cols = [lattice.hnf.apply(h.column(j)) for j in range(lattice.dim)]
+        ambient = LatticeBasis(IntMatrix.from_columns(cols))
+        if is_g_stable(ambient, gens):
+            out.append(ambient)
+    return sorted(out, key=LatticeBasis.key)
+
+
+def mat_mul_mod(a, b, p):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+
+
+def charpoly_mod(mat, p):
+    """The oracle: the characteristic polynomial over F_p of a dense matrix,
+    constant term first, via reduction to Hessenberg form."""
+    n = len(mat)
+    h = [row[:] for row in mat]
+    for m in range(1, n - 1):
+        i = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if i is None:
+            continue
+        if i != m:
+            h[i], h[m] = h[m], h[i]
+            for row in h:
+                row[i], row[m] = row[m], row[i]
+        inv = pow(h[m][m - 1], -1, p)
+        for r in range(m + 1, n):
+            u = h[r][m - 1] * inv % p
+            if u:
+                # Similarity by an elementary matrix: row r -= u row m, then
+                # column m += u column r.
+                h[r] = [(x - u * y) % p for x, y in zip(h[r], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[r]) % p
+    # chi_m is the characteristic polynomial of the leading m x m block.
+    chis = [[1]]
+    for m in range(1, n + 1):
+        prev = chis[m - 1]
+        chi = [0] + prev
+        for k, c in enumerate(prev):
+            chi[k] -= h[m - 1][m - 1] * c
+        t = 1
+        for i in range(1, m):
+            t = t * h[m - i][m - i - 1] % p
+            coef = t * h[m - i - 1][m - 1]
+            for k, c in enumerate(chis[m - i - 1]):
+                chi[k] -= coef * c
+        chis.append([x % p for x in chi])
+    return chis[n]
+
+
+def poly_at_matrix(f, mat, p):
+    """f(mat) over F_p by Horner's rule on dense matrices."""
+    n = len(mat)
+    out = [[0] * n for _ in range(n)]
+    for c in reversed(f):
+        out = mat_mul_mod(out, mat, p)
+        for i in range(n):
+            out[i][i] = (out[i][i] + c) % p
+    return out
+
+
+def is_irreducible(f, p):
+    """f has no factor of degree i <= deg f / 2: gcd(f, x^(p^i) - x) = 1."""
+    power = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        base = power
+        for _ in range(p - 1):
+            power = craig._poly_divmod(craig._poly_mul(power, base, p), f, p)[1]
+        minus_x = power + [0] * (2 - len(power))
+        minus_x[1] = (minus_x[1] - 1) % p
+        if not craig._poly_trim(minus_x) or len(craig._poly_gcd(f, minus_x, p)) > 1:
+            return False
+    return True
 
 
 class TestCraigLattice:
@@ -212,7 +306,8 @@ class TestScaledClosedForms:
 
 
 class TestMaximalSublattices:
-    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    # n = 26 (n + 1 = 3^3) guards the residue path at large n, at default bounds.
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 26])
     def test_three_case_classification(self, n):
         check = verify.check_maximal_sublattices((n,))
         assert check.passed, check.detail
@@ -335,6 +430,61 @@ class TestResidueSubmodules:
                 exits.add(got is None)
         assert exits == {True, False}
 
+    def test_word_kernels_match_dense_oracles(self):
+        # Every L(d) with n <= 11 at p in {2, 3, 5, 7}, and seeded integer
+        # actions on Z^2 to Z^4.  For every prefix word the sparse word action
+        # equals the dense product and the relative minimal polynomials
+        # multiply to its dense characteristic polynomial; the chosen word is
+        # the longest squarefree one, and its kernels hold one nonzero vector
+        # of ker f(B) per irreducible factor f.
+        cases = [
+            (_residue_action(craig_lattice(n, d).basis, craig_generators(n), p), p, n)
+            for n in range(2, 12)
+            for p in (2, 3, 5, 7)
+            for d in divisors(n + 1)
+        ]
+        rng = random.Random(17)
+        cases += [
+            (_residue_action(LatticeBasis(IntMatrix.identity(n)), gens, p), p, n)
+            for _ in range(3)
+            for n in (2, 3, 4)
+            for gens in integer_families(rng, n)
+            for p in (2, 3, 5, 7)
+        ]
+        outcomes = {"kernels": 0, "raised": 0}
+        for action, p, n in cases:
+            shifted = craig._shifted_terms(action)
+            words, chis = [], []
+            word = [[int(i == j) for j in range(n)] for i in range(n)]
+            for k, rows in enumerate(action, start=1):
+                word = mat_mul_mod(word, rows, p)
+                apply = craig._word_action(shifted[:k], p)
+                units = [[int(i == j) for i in range(n)] for j in range(n)]
+                assert [list(col) for col in zip(*map(apply, units))] == word
+                chi = reduce(
+                    lambda a, b: craig._poly_mul(a, b, p),
+                    (g for _, g, _ in craig._relative_minpolys(apply, p, n)),
+                )
+                assert chi == charpoly_mod(word, p), (action, p, k)
+                words.append(word)
+                chis.append(chi)
+            squarefree = [k for k, chi in enumerate(chis, 1) if craig._is_squarefree(chi, p)]
+            if not squarefree:
+                with pytest.raises(ValueError, match="no-semisimple-word"):
+                    craig._word_kernels(shifted, p, n)
+                outcomes["raised"] += 1
+                continue
+            k, chi, kernels = craig._word_kernels(shifted, p, n)
+            assert (k, chi) == (max(squarefree), chis[k - 1])
+            assert reduce(lambda a, b: craig._poly_mul(a, b, p), (f for f, _ in kernels)) == chi
+            for f, vec in kernels:
+                assert is_irreducible(f, p), (f, p)
+                assert any(vec)
+                fb = poly_at_matrix(f, words[k - 1], p)
+                assert [sum(map(mul, row, vec)) % p for row in fb] == [0] * n, (action, p, f)
+            outcomes["kernels"] += len(kernels)
+        assert min(outcomes.values()) > 0, outcomes
+
     def test_identity_generators_have_no_semisimple_word(self):
         # The raise is not cached: a second call raises again.
         n, p = 3, 2
@@ -381,10 +531,10 @@ class TestResidueSubmodules:
                     cases += 1
         assert cases == 175
 
-    def test_join_closure_is_bounded(self):
-        # diag(1..6) is semisimple mod 7 with six eigenlines, so its residue
-        # module has 2^6 submodules: the estimate 6^3 (6 + 7) = 2808 passes a
-        # bound of 5000, and the closure trips once 6^3 times its size does.
+    def test_radical_interval_is_bounded(self):
+        # diag(1..6) is semisimple mod 7 with six eigenlines, each its own top
+        # class: the estimate 6^3 (6 + 7) = 2808 passes a bound of 5000, and
+        # n^3 2^t with t = 6 top classes (13824 > 5000) trips.
         n, p = 6, 7
         diag = IntMatrix([[i + 1 if i == j else 0 for j in range(n)] for i in range(n)])
         gens = RepGenerators(n, (diag,) + (IntMatrix.identity(n),) * (n - 1))
@@ -437,6 +587,52 @@ class TestResidueSubmodules:
                     assert mu_p(lat, gens, p, member) == integer_moebius(lat, maximal, member)
 
 
+class TestConjugatedAction:
+    @staticmethod
+    def compare(lat, gens):
+        """The sparse conjugation equals `action_in_basis`, or both reject."""
+        dense = [action_in_basis(lat, m) for m in gens.mats]
+        if None in dense:
+            with pytest.raises(LatticeError):
+                craig._conjugated_action_rows.__wrapped__(lat, gens)
+            return False
+        assert craig._conjugated_action_rows.__wrapped__(lat, gens) == tuple(
+            a.entries for a in dense
+        )
+        return True
+
+    def test_matches_action_in_basis(self):
+        # Every L(d) with n = 2..10 under the standard and the Specht action,
+        # and seeded integer actions on Z^n, on Z^n itself, on the stable
+        # sublattices of index 4 and on a random triangular lattice.
+        outcomes = []
+        for n in range(2, 11):
+            for d in divisors(n + 1):
+                for gens in (craig_generators(n), specht_generators_closed(n)):
+                    outcomes.append(self.compare(craig_lattice(n, d).basis, gens))
+        rng = random.Random(19)
+        for _ in range(3):
+            for n in (2, 3, 4):
+                for gens in integer_families(rng, n):
+                    lat = LatticeBasis(IntMatrix.identity(n))
+                    lats = [lat] + enumerate_index_sublattices(lat, gens, 4)
+                    lats.append(LatticeBasis(IntMatrix(
+                        [[rng.randint(1, 3) if i == j else rng.randint(-3, 3) * (j < i)
+                          for j in range(n)] for i in range(n)]
+                    )))
+                    outcomes += [self.compare(x, gens) for x in lats]
+        assert outcomes.count(True) > 100 and outcomes.count(False) > 20
+
+    def test_unstable_lattice_raises_uncached(self):
+        n, gens = 4, craig_generators(4)
+        for _ in range(2):
+            with pytest.raises(LatticeError, match="not stable"):
+                craig._conjugated_action_rows(craig_lattice(n, 2).basis, gens)
+        lat = craig_lattice(n, 5).basis
+        want = tuple(action_in_basis(lat, m).entries for m in gens.mats)
+        assert craig._conjugated_action_rows(lat, gens) == want
+
+
 class TestPrimeValidation:
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError, match="prime"):
@@ -464,14 +660,14 @@ class TestPrimeValidation:
 
 
 class TestRadical:
-    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 26])
     def test_closed_form(self, n):
         check = verify.check_radical((n,))
         assert check.passed, check.detail
 
 
 class TestRadicalInterval:
-    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("n", [2, 3, 7, 26])
     def test_contents(self, n):
         check = verify.check_radical_interval((n,))
         assert check.passed, check.detail
@@ -679,13 +875,13 @@ class TestIndexCensus:
         craig._conjugated_action_rows.cache_clear()
         enumerate_index_sublattices(lat, gens, 2)
         calls = []
-        real = craig.solve_in_lattice
+        real = craig.solve_triangular
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(craig, "solve_in_lattice", counted)
+        monkeypatch.setattr(craig, "solve_triangular", counted)
         enumerate_index_sublattices(lat, gens, 3)
         assert calls == []
 
@@ -693,13 +889,13 @@ class TestIndexCensus:
         lat = craig_lattice(3, 1).basis
         first = enumerate_index_sublattices(lat, craig_generators(3), 216)
         calls = []
-        real = craig.solve_in_lattice
+        real = craig.solve_triangular
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(craig, "solve_in_lattice", counted)
+        monkeypatch.setattr(craig, "solve_triangular", counted)
         assert enumerate_index_sublattices(lat, craig_generators(3), 216) == first
         assert calls == []
 
