@@ -212,14 +212,15 @@ _LAYER_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
-def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
-    """The generators written in the lattice's basis H, as row tuples.
+def _conjugated_action(lattice: LatticeBasis, gens) -> tuple:
+    """The generators written in the lattice's basis H, as (c, terms).
 
     A generator A = cI + S in the form of `_shifted_terms` becomes
-    H^-1 A H = cI + H^-1 (S H): S H is nonzero only in the rows of S, and each
-    nonzero column of it takes one triangular solve.  Memoized per (lattice,
-    generators): every census and residue layer of a lattice reads the same
-    rows.  An unstable lattice raises LatticeError, which is never cached.
+    H^-1 A H = cI + H^-1 (S H) with the same c: S H is nonzero only in the rows
+    of S, each nonzero column of it takes one triangular solve, and terms are
+    the nonzero rows of H^-1 (S H), gathered column by column.  Memoized per
+    (lattice, generators): every census and residue layer of a lattice reads
+    the same form.  An unstable lattice raises LatticeError, never cached.
     """
     n = lattice.dim
     if gens.n != n:
@@ -227,27 +228,28 @@ def _conjugated_action_rows(lattice: LatticeBasis, gens) -> tuple:
     h = lattice.hnf
     out = []
     for c, terms in _shifted_terms(m.entries for m in gens.mats):
-        cols = []
+        rows = [[] for _ in range(n)]
         for j in range(n):
             col = [0] * n
             for r, row in terms:
                 col[r] = sum(x * h.entries[k][j] for k, x in row)
-            x = solve_triangular(h, col) if any(col) else col
+            x = solve_triangular(h, col) if any(col) else ()
             if x is None:
                 raise LatticeError("lattice is not stable under the given action")
-            x[j] += c
-            cols.append(x)
-        out.append(tuple(zip(*cols)))
+            for i, v in enumerate(x):
+                if v:
+                    rows[i].append((j, v))
+        out.append((c, tuple((i, tuple(row)) for i, row in enumerate(rows) if row)))
     return tuple(out)
 
 
 def _shifted_terms(action) -> tuple:
-    """Each generator A as (c, terms): terms are the nonzero rows
+    """Each integer generator A as (c, terms): terms are the nonzero rows
     (row, ((col, coeff), ...)) of S = A - cI.
 
     c is A's commonest diagonal entry, -1 for most transpositions (-I plus rank
     one).  cI maps every lattice and F_p subspace into itself, so A and S have
-    the same invariant ones.  Kept terms of a reduced action are nonzero mod p.
+    the same invariant ones, whatever the scalar c.
     """
     shifted = []
     for rows in action:
@@ -289,9 +291,11 @@ def _shifted_terms(action) -> tuple:
 # chi = x^n - 1, and no prime divides both n and n+1, so one of the two is
 # squarefree mod every p; a family with no squarefree prefix raises
 # "no-semisimple-word".  No word is formed as a matrix: B acts on vectors as
-# its sparse factors cI + S, chi is the product of the relative minimal
-# polynomials of e_1, e_2, ..., and (chi / f)(B) e_j is a kernel vector of
-# f(B) (the spin-and-split step of the MeatAxe, Holt and Rees 1994).  The
+# its sparse factors cI + S, the memoized `_conjugated_action` reduced mod p
+# (c the generator's commonest diagonal entry; the word and the spins read
+# this one form), chi is the product of the relative minimal polynomials of
+# e_1, e_2, ..., and (chi / f)(B) e_j is a kernel vector of f(B) (the
+# spin-and-split step of the MeatAxe, Holt and Rees 1994).  The
 # bound `spinning_max_order` prices this path as n^3 (n + p): up to n words
 # whose chi reduces at most 2n Krylov vectors at O(n^2) each, and Berlekamp's
 # loops over range(p) at O(n^3 p).  Once the spins are known it adds n^3 per
@@ -338,7 +342,7 @@ def _echelon(rows, p: int) -> tuple[tuple[int, ...], ...]:
 def _spin(vec, shifted, p: int, n: int):
     """Smallest action-invariant subspace containing vec, as a canonical key.
 
-    `shifted` is the action mod p in the form of `_shifted_terms`.
+    `shifted` is the action mod p as (c, terms), from `_residue_action`.
     Worklist closure: every vector ever inserted is pushed once and its
     generator images are reduced against the growing basis.  The inserted
     vectors span the subspace, so checking their images suffices.  Returns
@@ -537,7 +541,7 @@ def _word_kernels(shifted, p: int, n: int):
     raise ValueError(f"no-semisimple-word: no prefix product is squarefree mod {p}")
 
 
-def _word_submodules(action, p: int, n: int, bounds: Bounds):
+def _word_submodules(shifted, p: int, n: int, bounds: Bounds):
     """One pair (k, K) per irreducible factor f of the chi of `_word_kernels`:
     k spans part of the block ker f(B), and K is its spin, the least submodule
     holding the block.  Raises ScaleError above the estimate n^3 (n + p).
@@ -545,16 +549,17 @@ def _word_submodules(action, p: int, n: int, bounds: Bounds):
     if n**3 * (n + p) > bounds.spinning_max_order:
         raise ScaleError("spinning-scale-exceeded: residue module is too large")
     full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    shifted = _shifted_terms(action)
     return [(tuple(k), _spin(k, shifted, p, n) or full) for _, k in _word_kernels(shifted, p, n)[2]]
 
 
 def _residue_action(lattice: LatticeBasis, gens, p: int) -> tuple:
-    """The action on L/pL: the conjugated action rows reduced mod p."""
-    return tuple(
-        tuple(tuple(x % p for x in row) for row in rows)
-        for rows in _conjugated_action_rows(lattice, gens)
-    )
+    """The action on L/pL: `_conjugated_action` reduced mod p, as (c % p,
+    terms) with every kept term nonzero mod p."""
+    out = []
+    for c, terms in _conjugated_action(lattice, gens):
+        kept = ((r, tuple((j, x % p) for j, x in row if x % p)) for r, row in terms)
+        out.append((c % p, tuple((r, row) for r, row in kept if row)))
+    return tuple(out)
 
 
 def _lift_subspace(lattice: LatticeBasis, key, p: int) -> LatticeBasis:
@@ -693,7 +698,7 @@ def enumerate_p_sublattices(
 # the stable ones.  H is stable when each generator image of each column
 # forward-substitutes to zero: row r of the residual must be divisible by
 # H[r][r], and the quotient times column r is subtracted.  Images are taken
-# under the sparse A - cI of `_shifted_terms`.  A residual is held as
+# under the sparse A - cI of `_conjugated_action`.  A residual is held as
 # (generator, column, quotients, next row) and its rows are read off the
 # columns on demand, so no residual is copied or undone.
 #
@@ -739,8 +744,8 @@ def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeB
     The census of every index m walks the layer of each prime power dividing
     m, so the finished sublattices are memoized on the caller's own hashable
     arguments (a lattice hashes on its normal form, a generator family on its
-    matrices).  The action rows come from the memo of
-    `_conjugated_action_rows`; an unstable base raises LatticeError, which is
+    matrices).  The sparse rows of A - cI come from the memo of
+    `_conjugated_action`; an unstable base raises LatticeError, which is
     never cached.  No caller can change a tuple.
 
     Per generator the walk keeps the rows of A - cI by index, the entry of a
@@ -750,7 +755,7 @@ def _census_layer(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeB
     """
     n = lattice.dim
     rows_of, ready_of, busy_of, reads_of = [], [], [], []
-    for _, terms in _shifted_terms(_conjugated_action_rows(lattice, gens)):
+    for _, terms in _conjugated_action(lattice, gens):
         rows = [()] * n
         for r, row in terms:
             rows[r] = row

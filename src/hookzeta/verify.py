@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import wraps
+from functools import reduce, wraps
 from itertools import product
 from math import gcd
 
@@ -354,20 +354,15 @@ def check_sum_decomposition(ns):
             for q in prime_factorization(m)
         )
         for d in divisors(n + 1):
-            total = None
-            for p in sorted(prime_factorization(n + 1)):
-                vd = valuation(d, p)
-                part = _craig_basis(n, p**vd).scale(d // p**vd)
-                total = part if total is None else lattice_sum(total, part)
-            if total != _craig_basis(n, d):
-                bad.append((n, d, "p-free parts"))
+            choices = [("p-free parts", {p: d // p ** valuation(d, p) for p in m_parts})]
             if factorial_valid:
-                total = None
-                for p in sorted(prime_factorization(n + 1)):
-                    part = _craig_basis(n, p ** valuation(d, p)).scale(m_parts[p])
-                    total = part if total is None else lattice_sum(total, part)
-                if total != _craig_basis(n, d):
-                    bad.append((n, d, "factorial coefficients"))
+                choices.append(("factorial coefficients", m_parts))
+            for name, coeff in choices:
+                parts = (
+                    _craig_basis(n, p ** valuation(d, p)).scale(coeff[p]) for p in sorted(m_parts)
+                )
+                if reduce(lattice_sum, parts) != _craig_basis(n, d):
+                    bad.append((n, d, name))
     return not bad, f"failing: {bad}"
 
 

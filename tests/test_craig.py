@@ -38,6 +38,7 @@ from hookzeta.exactmat import (
     lattice_index,
     lattice_intersect,
     lattice_sum,
+    solve_triangular,
 )
 from hookzeta.specht import RepGenerators, craig_generators, specht_generators_closed
 from hookzeta.zeta import dirichlet_coeff, global_zeta
@@ -87,22 +88,33 @@ def integer_families(rng, n):
     ]
 
 
-def assert_shifted_form(action, shifted, p=None):
-    """Each generator's sparse form is (c, A - cI), c a commonest diagonal entry."""
+def dense_residue_action(lattice, gens, p):
+    """The oracles' action on L/pL: each dense `action_in_basis` matrix mod p,
+    independent of the sparse conjugation of the fast path."""
+    return tuple(
+        tuple(tuple(x % p for x in row) for row in action_in_basis(lattice, m).entries)
+        for m in gens.mats
+    )
+
+
+def assert_shifted_form(action, shifted, p=None, gens=None):
+    """Each generator's sparse form (c, terms) is cI plus terms equal to the
+    dense action, with no kept term 0 (mod p).  c is a commonest diagonal
+    entry of the action itself, or, for a form conjugated from `gens`, of the
+    generator (mod p)."""
     reduce_p = (lambda x: x) if p is None else (lambda x: x % p)
-    for rows, (c, terms) in zip(action, shifted):
+    assert len(shifted) == len(action)
+    sources = action if gens is None else [m.entries for m in gens.mats]
+    for rows, (c, terms), source in zip(action, shifted, sources):
         n = len(rows)
-        dense = [[0] * n for _ in range(n)]
+        dense = [[c * (i == j) for j in range(n)] for i in range(n)]
         for r, row in terms:
             for j, x in row:
                 assert reduce_p(x)
-                dense[r][j] = x
-        assert c == reduce_p(rows[0][0] - dense[0][0])
-        for i in range(n):
-            for j in range(n):
-                assert reduce_p(rows[i][j] - dense[i][j]) == (c if i == j else 0)
-        diag = [reduce_p(rows[i][i]) for i in range(n)]
-        assert diag.count(c) == max(map(diag.count, diag))
+                dense[r][j] = reduce_p(dense[r][j] + x)
+        assert dense == [list(row) for row in rows]
+        diag = [source[i][i] for i in range(n)]
+        assert c in {reduce_p(x) for x in diag if diag.count(x) == max(map(diag.count, diag))}
 
 
 def dense_closure(vec, action, p):
@@ -152,7 +164,8 @@ def exhaustive_layer(action, p, n):
 
 
 def all_triangular_bases(n, m):
-    """Every canonical lower-triangular basis of index m (no stability filter)."""
+    """Every canonical lower-triangular basis of index m, as rows (no
+    stability filter)."""
     for diag in product(divisors(m), repeat=n):
         if reduce(mul, diag) != m:
             continue
@@ -161,18 +174,31 @@ def all_triangular_bases(n, m):
             rows = [[diag[i] * (i == j) for j in range(n)] for i in range(n)]
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            yield IntMatrix(rows)
+            yield rows
 
 
 def enumerate_index_sublattices_naive(lattice, gens, m):
-    """The oracle census: every triangular basis of index m, filtered by the
-    dense `is_g_stable`.  Exponentially slower than the pruned walk."""
+    """The oracle census: every triangular basis H of index m, kept when each
+    dense generator image of each column of L H lies in the span of L H.
+
+    L H is lower triangular, so `solve_triangular` decides each membership;
+    only stable candidates become lattices.  No pruning: exponentially slower
+    than the walk."""
+    n = lattice.dim
+    base = lattice.hnf.entries
+    mats = [a.entries for a in gens.mats]
     out = []
-    for h in all_triangular_bases(lattice.dim, m):
-        cols = [lattice.hnf.apply(h.column(j)) for j in range(lattice.dim)]
-        ambient = LatticeBasis(IntMatrix.from_columns(cols))
-        if is_g_stable(ambient, gens):
-            out.append(ambient)
+    for h in all_triangular_bases(n, m):
+        rows = [[sum(base[i][k] * h[k][j] for k in range(j, i + 1)) for j in range(n)]
+                for i in range(n)]
+        cand = IntMatrix(rows)
+        cols = list(zip(*rows))
+        if all(
+            solve_triangular(cand, [sum(map(mul, row, col)) for row in a]) is not None
+            for a in mats
+            for col in cols
+        ):
+            out.append(LatticeBasis(IntMatrix.from_columns(cols)))
     return sorted(out, key=LatticeBasis.key)
 
 
@@ -362,8 +388,7 @@ class TestResidueSubmodules:
 
         def compare(lat, gens, p):
             n = lat.dim
-            acts = _residue_action(lat, gens, p)
-            maximal, radical, moebius = exhaustive_layer(acts, p, n)
+            maximal, radical, moebius = exhaustive_layer(dense_residue_action(lat, gens, p), p, n)
             try:
                 got = craig._residue_layer(lat, gens, p, DEFAULT_BOUNDS)
             except ValueError as exc:
@@ -371,7 +396,8 @@ class TestResidueSubmodules:
                 reached.add("no semisimple word")
                 return
             assert (sorted(got[0]), got[1], dict(got[2])) == (maximal, radical, moebius), (gens, p)
-            spins = [key for _, key in _word_submodules(acts, p, n, DEFAULT_BOUNDS)]
+            shifted = _residue_action(lat, gens, p)
+            spins = [key for _, key in _word_submodules(shifted, p, n, DEFAULT_BOUNDS)]
             reached.update(
                 name
                 for name, hit in (
@@ -406,21 +432,22 @@ class TestResidueSubmodules:
         # a spin that fills the space exits with None.
         rng = random.Random(11)
         cases = [
-            (_residue_action(craig_lattice(n, d).basis, craig_generators(n), p), p, n)
+            (craig_lattice(n, d).basis, craig_generators(n), p)
             for n in range(2, 8)
             for p in (2, 3, 5, 7)
             for d in divisors(n + 1)
         ]
         cases += [
-            (_residue_action(LatticeBasis(IntMatrix.identity(n)), gens, p), p, n)
+            (LatticeBasis(IntMatrix.identity(n)), gens, p)
             for n in (2, 3)
             for gens in integer_families(rng, n)
             for p in (2, 3)
         ]
         exits = set()
-        for action, p, n in cases:
-            shifted = craig._shifted_terms(action)
-            assert_shifted_form(action, shifted, p)
+        for lat, gens, p in cases:
+            n, action = lat.dim, dense_residue_action(lat, gens, p)
+            shifted = _residue_action(lat, gens, p)
+            assert_shifted_form(action, shifted, p, gens)
             vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
             vectors += [tuple(rng.randrange(p) for _ in range(n)) for _ in range(2)]
             for vec in filter(any, vectors):
@@ -438,22 +465,23 @@ class TestResidueSubmodules:
         # the longest squarefree one, and its kernels hold one nonzero vector
         # of ker f(B) per irreducible factor f.
         cases = [
-            (_residue_action(craig_lattice(n, d).basis, craig_generators(n), p), p, n)
+            (craig_lattice(n, d).basis, craig_generators(n), p)
             for n in range(2, 12)
             for p in (2, 3, 5, 7)
             for d in divisors(n + 1)
         ]
         rng = random.Random(17)
         cases += [
-            (_residue_action(LatticeBasis(IntMatrix.identity(n)), gens, p), p, n)
+            (LatticeBasis(IntMatrix.identity(n)), gens, p)
             for _ in range(3)
             for n in (2, 3, 4)
             for gens in integer_families(rng, n)
             for p in (2, 3, 5, 7)
         ]
         outcomes = {"kernels": 0, "raised": 0}
-        for action, p, n in cases:
-            shifted = craig._shifted_terms(action)
+        for lat, gens, p in cases:
+            n, action = lat.dim, dense_residue_action(lat, gens, p)
+            shifted = _residue_action(lat, gens, p)
             words, chis = [], []
             word = [[int(i == j) for j in range(n)] for i in range(n)]
             for k, rows in enumerate(action, start=1):
@@ -503,7 +531,7 @@ class TestResidueSubmodules:
         gens = RepGenerators(n, (IntMatrix.identity(n),) * n)
         lat = craig_lattice(n, 1).basis
         for p, size in ((2, 16), (3, 28)):
-            maximal, radical, moebius = exhaustive_layer(_residue_action(lat, gens, p), p, n)
+            maximal, radical, moebius = exhaustive_layer(dense_residue_action(lat, gens, p), p, n)
             assert craig._lift_subspace(lat, radical, p) == lat.scale(p)
             codims = [n - len(key) for key in moebius]
             lines = p * p + p + 1
@@ -590,15 +618,15 @@ class TestResidueSubmodules:
 class TestConjugatedAction:
     @staticmethod
     def compare(lat, gens):
-        """The sparse conjugation equals `action_in_basis`, or both reject."""
+        """The sparse conjugation, densified as cI plus its terms, equals
+        `action_in_basis`, or both reject."""
         dense = [action_in_basis(lat, m) for m in gens.mats]
         if None in dense:
             with pytest.raises(LatticeError):
-                craig._conjugated_action_rows.__wrapped__(lat, gens)
+                craig._conjugated_action.__wrapped__(lat, gens)
             return False
-        assert craig._conjugated_action_rows.__wrapped__(lat, gens) == tuple(
-            a.entries for a in dense
-        )
+        form = craig._conjugated_action.__wrapped__(lat, gens)
+        assert_shifted_form([a.entries for a in dense], form, gens=gens)
         return True
 
     def test_matches_action_in_basis(self):
@@ -627,10 +655,26 @@ class TestConjugatedAction:
         n, gens = 4, craig_generators(4)
         for _ in range(2):
             with pytest.raises(LatticeError, match="not stable"):
-                craig._conjugated_action_rows(craig_lattice(n, 2).basis, gens)
+                craig._conjugated_action(craig_lattice(n, 2).basis, gens)
         lat = craig_lattice(n, 5).basis
-        want = tuple(action_in_basis(lat, m).entries for m in gens.mats)
-        assert craig._conjugated_action_rows(lat, gens) == want
+        want = [action_in_basis(lat, m).entries for m in gens.mats]
+        assert_shifted_form(want, craig._conjugated_action(lat, gens), gens=gens)
+
+    # The generator's own commonest diagonal entry c is kept through the
+    # conjugation; on these generators the conjugated matrix's first commonest
+    # diagonal entry is another value.
+    @pytest.mark.parametrize("family, n, d, k, c", [
+        (craig_generators, 2, 3, 0, 1),
+        (specht_generators_closed, 2, 3, 1, 0),
+        (craig_generators, 3, 4, 0, -1),
+    ])
+    def test_scalar_is_the_generators_commonest_diagonal_entry(self, family, n, d, k, c):
+        gens, lat = family(n), craig_lattice(n, d).basis
+        assert self.compare(lat, gens)
+        assert craig._conjugated_action(lat, gens)[k][0] == c
+        rows = action_in_basis(lat, gens.mats[k]).entries
+        diag = [rows[i][i] for i in range(n)]
+        assert max(diag, key=diag.count) != c
 
 
 class TestPrimeValidation:
@@ -872,7 +916,7 @@ class TestIndexCensus:
         # The action rows are solved once per (lattice, generators), not per layer.
         lat, gens = craig_lattice(3, 1).basis, craig_generators(3)
         craig._census_layer.cache_clear()
-        craig._conjugated_action_rows.cache_clear()
+        craig._conjugated_action.cache_clear()
         enumerate_index_sublattices(lat, gens, 2)
         calls = []
         real = craig.solve_triangular
