@@ -623,7 +623,11 @@ def maximal_sublattices_p(
 
 
 def rad_p(lattice: LatticeBasis, gens, p: int, bounds: Bounds = DEFAULT_BOUNDS) -> LatticeBasis:
-    """Intersection of all maximal stable sublattices above pL."""
+    """Intersection of all maximal stable sublattices above pL.
+
+    Its domain is a family with a squarefree prefix word mod p, as the hook
+    module and its Specht form have; others raise ValueError("no-semisimple-word").
+    """
     return _lift_subspace(lattice, _residue_layer(lattice, gens, p, bounds)[1], p)
 
 
@@ -634,6 +638,8 @@ def phi_p(
 
     These are the invariant subspaces of L/pL containing the image of the
     radical, lifted back to lattices.
+    Its domain is a family with a squarefree prefix word mod p, as the hook
+    module and its Specht form have; others raise ValueError("no-semisimple-word").
     """
     interval = _residue_layer(lattice, gens, p, bounds)[2]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in interval)
@@ -653,6 +659,8 @@ def mu_p(
 
     Read from the residue layer: `target` lies in the lift of its image in
     L/pL, of index p^codim in L, so it is that lift when the indices agree.
+    Its domain is a family with a squarefree prefix word mod p, as the hook
+    module and its Specht form have; others raise ValueError("no-semisimple-word").
     """
     moebius = _residue_layer(lattice, gens, p, bounds)[2]
     coords = solve_in_lattice(lattice.hnf, target.hnf) if target.dim == lattice.dim else None
@@ -674,6 +682,8 @@ def enumerate_p_sublattices(
     stable sublattices and deduplicating by normal form reaches everything.
     A maximal key of codimension c lifts to a sublattice of index p^c, so
     only the lifts that stay within max_exp are built.
+    Its domain is a family with a squarefree prefix word mod p, as the hook
+    module and its Specht form have; others raise ValueError("no-semisimple-word").
     """
     _require_prime(p)
     if max_exp < 0:

@@ -279,11 +279,10 @@ def check_tridiagonal_from_moebius(ns, bounds: Bounds = DEFAULT_BOUNDS):
         lat = _craig_basis(n, p**i)
         classes = _interval_classes(lat, gens, p, bounds)
         for j in range(a.size):
-            entry = zeta.POLY_ZERO
-            for member in classes.get(p**j, []):
-                mu = craig.mu_p(lat, gens, p, member, bounds)
-                e = valuation(lattice_index(lat, member), p)
-                entry = entry + zeta.IntPoly.x_power(e, mu)
+            entry = zeta.IntPoly(
+                (valuation(lattice_index(lat, member), p), craig.mu_p(lat, gens, p, member, bounds))
+                for member in classes.get(p**j, [])
+            )
             if entry != a[i, j]:
                 bad.append((n, p, i, j))
     return not bad, f"failing: {bad}"
@@ -412,8 +411,8 @@ def check_specht_factor_arbitration(
         for p in sorted(prime_factorization(n + 1)):
             v = valuation(n + 1, p)
             counts = _walk_counts(base, gens, p, max_exp, bounds)
-            full = zeta.LocalFactor(n, zeta.IntPoly((1,) * (v + 1))).series(max_exp)
-            truncated = zeta.LocalFactor(n, zeta.IntPoly((1,) * v)).series(max_exp)
+            full = zeta.LocalFactor(n, zeta.IntPoly((j, 1) for j in range(v + 1))).series(max_exp)
+            truncated = zeta.LocalFactor(n, zeta.IntPoly((j, 1) for j in range(v))).series(max_exp)
             full_ok = counts == full
             truncated_ok = counts == truncated
             consistent_full &= full_ok

@@ -15,77 +15,69 @@ from dataclasses import dataclass
 from .arith import is_nth_power, prime_factorization, valuation
 from .specht import craig_generators, identify_specht_lattice, specht_generators_closed
 
+__all__ = [
+    "GlobalZeta",
+    "IntPoly",
+    "LocalFactor",
+    "PolyMatrix",
+    "ZetaError",
+    "build_A",
+    "build_B",
+    "dirichlet_coeff",
+    "dirichlet_coeffs",
+    "global_zeta",
+    "local_factor",
+    "specht_zeta",
+    "verify_inverse",
+]
+
 
 class ZetaError(ValueError):
     """Invalid zeta-function request (bad prime, divisor, or range)."""
 
 
 class IntPoly:
-    """Dense polynomial in one variable over the integers, trailing zeros trimmed."""
+    """Polynomial in one variable over the integers, held as its nonzero terms.
 
-    __slots__ = ("coeffs",)
+    `terms` is the tuple of (exponent, coefficient) pairs in ascending exponent
+    order: the local numerators have at most v + 1 terms whatever their degree.
+    """
 
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
+    __slots__ = ("terms",)
 
-    @classmethod
-    def x_power(cls, k: int, c: int = 1) -> "IntPoly":
-        return cls((0,) * k + (c,))
+    def __init__(self, pairs=()):
+        acc: dict[int, int] = {}
+        for e, c in pairs:
+            acc[e] = acc.get(e, 0) + c
+        self.terms = tuple(sorted((e, c) for e, c in acc.items() if c))
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+        return IntPoly(self.terms + other.terms)
 
     def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-x for x in self.coeffs))
+        return self * -1
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "IntPoly":
         if isinstance(other, int):
-            return IntPoly(tuple(other * x for x in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return IntPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return IntPoly(out)
+            other = IntPoly([(0, other)])
+        return IntPoly((e + f, c * d) for e, c in self.terms for f, d in other.terms)
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntPoly) and self.coeffs == other.coeffs
+        return isinstance(other, IntPoly) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __getitem__(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return hash(self.terms)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "IntPoly(0)"
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                lead = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                terms.append(f"{lead}X^{k}" if k > 1 else f"{lead}X")
-        return "IntPoly(" + " + ".join(terms).replace("+ -", "- ") + ")"
+        return f"IntPoly({list(self.terms)!r})"
 
 
-POLY_ONE = IntPoly((1,))
+POLY_ONE = IntPoly([(0, 1)])
 POLY_ZERO = IntPoly()
 
 
@@ -141,20 +133,12 @@ def build_A(n: int, p: int) -> PolyMatrix:
     -X^(n-1) on the superdiagonal.
     """
     v = _local_valuation(n, p)
-    rows = []
-    for i in range(v + 1):
-        row = []
-        for j in range(v + 1):
-            if i == j:
-                row.append(POLY_ONE if i in (0, v) else IntPoly((1,) + (0,) * (n - 1) + (1,)))
-            elif j == i - 1:
-                row.append(IntPoly((0, -1)))
-            elif j == i + 1:
-                row.append(IntPoly.x_power(n - 1, -1))
-            else:
-                row.append(POLY_ZERO)
-        rows.append(row)
-    return PolyMatrix(rows)
+    middle = IntPoly([(0, 1), (n, 1)])
+    band = {-1: IntPoly([(1, -1)]), 0: POLY_ONE, 1: IntPoly([(n - 1, -1)])}
+    return PolyMatrix(
+        [middle if i == j and 0 < i < v else band.get(j - i, POLY_ZERO) for j in range(v + 1)]
+        for i in range(v + 1)
+    )
 
 
 def build_B(n: int, p: int) -> PolyMatrix:
@@ -164,30 +148,19 @@ def build_B(n: int, p: int) -> PolyMatrix:
     the j-th one: X^((j-i)(n-1)) at and above the diagonal, X^(i-j) below.
     """
     v = _local_valuation(n, p)
-    rows = []
-    for i in range(v + 1):
-        row = []
-        for j in range(v + 1):
-            if j >= i:
-                row.append(IntPoly.x_power((j - i) * (n - 1)))
-            else:
-                row.append(IntPoly.x_power(i - j))
-        rows.append(row)
-    return PolyMatrix(rows)
+    return PolyMatrix(
+        [IntPoly([((j - i) * (n - 1) if j >= i else i - j, 1)]) for j in range(v + 1)]
+        for i in range(v + 1)
+    )
 
 
 def verify_inverse(a: PolyMatrix, b_num: PolyMatrix, n: int) -> bool:
     """Exact check that a * b_num equals (1 - X^n) times the identity."""
     if a.size != b_num.size:
         return False
-    scaled_ident = IntPoly((1,) + (0,) * (n - 1) + (-1,))
-    prod = a * b_num
-    for i in range(a.size):
-        for j in range(a.size):
-            expect = scaled_ident if i == j else POLY_ZERO
-            if prod[i, j] != expect:
-                return False
-    return True
+    scaled_ident = IntPoly([(0, 1), (n, -1)])
+    r = range(a.size)
+    return a * b_num == PolyMatrix([scaled_ident if i == j else POLY_ZERO for j in r] for i in r)
 
 
 @dataclass(frozen=True)
@@ -201,28 +174,16 @@ class LocalFactor:
         """First max_exp + 1 power-series coefficients of numerator / (1 - X^n)."""
         if max_exp < 0:
             raise ZetaError("series length must be nonnegative")
-        out = []
-        for m in range(max_exp + 1):
-            total = 0
-            k = m
-            while k >= 0:
-                total += self.numerator[k]
-                k -= self.n
-            out.append(total)
+        out = [0] * (max_exp + 1)
+        for e, c in self.numerator.terms:
+            for m in range(e, max_exp + 1, self.n):
+                out[m] += c
         return out
 
 
 def _factor_numerator(n: int, v: int, i: int) -> IntPoly:
-    coeffs: dict[int, int] = {}
-    for j in range(i + 1):
-        coeffs[j] = coeffs.get(j, 0) + 1
-    for j in range(i + 1, v + 1):
-        e = (j - i) * (n - 1)
-        coeffs[e] = coeffs.get(e, 0) + 1
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return IntPoly(out)
+    """X^j for j <= i plus X^((j-i)(n-1)) for i < j <= v: one term per representative."""
+    return IntPoly((j if j <= i else (j - i) * (n - 1), 1) for j in range(v + 1))
 
 
 def local_factor(n: int, p: int, i: int) -> LocalFactor:
@@ -241,9 +202,16 @@ def _terms(poly: IntPoly, p: int, times: str, power: str) -> list[str]:
     """
     return [
         str(c) if j == 0 else ("" if c == 1 else f"{c}{times}") + power.format(p**j)
-        for j, c in enumerate(poly.coeffs)
-        if c
+        for j, c in poly.terms
     ]
+
+
+def _coeff_list(poly: IntPoly) -> list[int]:
+    """[c_0, ..., c_deg]: the dense form that the JSON output keeps."""
+    out = [0] * (poly.terms[-1][0] + 1 if poly.terms else 0)
+    for e, c in poly.terms:
+        out[e] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -253,18 +221,25 @@ class GlobalZeta:
     n: int
     d: int
     riemann_exponent: int
-    local_factors: tuple[tuple[int, IntPoly], ...]  # (prime, polynomial), ascending
+    local_factors: tuple[tuple[int, IntPoly], ...]  # (prime, sparse polynomial), ascending
 
-    def dirichlet_terms(self) -> dict[int, int]:
-        """Expand the finite product of local polynomials as {u: coefficient}."""
+    def dirichlet_terms(self, limit: int) -> dict[int, int]:
+        """Expand the product of local polynomials as {u: coefficient}, for u <= limit.
+
+        Each p^j is reached by repeated multiplication that stops once it
+        passes limit // u, so no power past the limit is formed.
+        """
         terms = {1: 1}
         for p, poly in self.local_factors:
             new: dict[int, int] = {}
             for u, c in terms.items():
-                for j, cj in enumerate(poly.coeffs):
-                    if cj:
-                        key = u * p**j
-                        new[key] = new.get(key, 0) + c * cj
+                top, j, pj = limit // u, 0, 1
+                for e, ce in poly.terms:
+                    while j < e and pj <= top:
+                        j, pj = j + 1, pj * p
+                    if pj > top:
+                        break
+                    new[u * pj] = new.get(u * pj, 0) + c * ce
             terms = new
         return terms
 
@@ -274,7 +249,7 @@ class GlobalZeta:
             "d": self.d,
             "riemann_exponent": self.riemann_exponent,
             "local_factors": [
-                {"p": p, "coeffs": list(poly.coeffs)} for p, poly in self.local_factors
+                {"p": p, "coeffs": _coeff_list(poly)} for p, poly in self.local_factors
             ],
         }
 
@@ -328,7 +303,7 @@ def dirichlet_coeff(z: GlobalZeta, m: int) -> int:
     if m < 1:
         raise ZetaError("index must be positive")
     total = 0
-    for u, c in z.dirichlet_terms().items():
+    for u, c in z.dirichlet_terms(m).items():
         if m % u == 0 and is_nth_power(m // u, z.riemann_exponent):
             total += c
     return total
@@ -344,7 +319,7 @@ def dirichlet_coeffs(z: GlobalZeta, limit: int) -> list[int]:
         raise ZetaError("limit must be positive")
     n = z.riemann_exponent
     table = [0] * (limit + 1)
-    for u, c in z.dirichlet_terms().items():
+    for u, c in z.dirichlet_terms(limit).items():
         x = 1
         while (m := u * x**n) <= limit:
             table[m] += c

@@ -114,7 +114,7 @@ def test_criterion_8_erratum_arbitration():
     def run():
         check, record = verify.check_specht_factor_arbitration((2, 3, 5))
         full = record["oracle_supports"] == "full" and all(
-            poly == IntPoly((1,) * (valuation(n + 1, p) + 1))
+            poly == IntPoly(enumerate((1,) * (valuation(n + 1, p) + 1)))
             for n in (2, 3, 5)
             for p, poly in specht_zeta(n).local_factors
         )
