@@ -14,7 +14,6 @@ from .craig import (
     maximal_sublattices_p,
     mu_p,
     phi_p,
-    phi_p_class,
     rad_p,
     scaled_inclusion,
     scaled_index,
@@ -29,7 +28,6 @@ from .exactmat import (
     LatticeBasis,
     LatticeError,
     MatrixError,
-    det,
     hnf,
     is_scalar_multiple,
     is_sublattice,

@@ -75,11 +75,17 @@ def valuation(n: int, p: int) -> int:
 
 
 def integer_nth_root(m: int, n: int) -> int:
-    """Floor of the n-th root of m >= 0, computed in pure integer arithmetic."""
+    """Floor of the n-th root of m >= 0, computed in pure integer arithmetic.
+
+    m < 2^n exactly when n >= m.bit_length(), and then the root of m >= 1 is 1
+    without forming any power.
+    """
     if m < 0:
         raise ValueError("negative radicand")
     if m < 2:
         return m
+    if n >= m.bit_length():
+        return 1
     lo, hi = 1, 1
     while hi**n <= m:
         hi *= 2

@@ -21,10 +21,11 @@ class Bounds:
     # Largest sublattice index accepted by the exhaustive census.
     index_enumeration_max: int = 500
     # Largest work estimate accepted for the submodules of a residue module
-    # F_p^n: n^3 (n + p) for the semisimple word (Krylov characteristic
-    # polynomials of at most n sparse prefix words, Berlekamp over range(p)),
-    # and n^3 per member of the radical interval, checked once the spins are
-    # known.
+    # F_p^n: n^3 (n + p) for the semisimple word and its block digraph (Krylov
+    # characteristic polynomials of at most n sparse prefix words, Berlekamp
+    # over range(p), the inverse of the blocks' basis and the generators'
+    # edges), and n^3 per member of the radical interval, checked once the
+    # top classes are known.
     spinning_max_order: int = 1_000_000
     # Largest `hookzeta enumerate --max-exp`: the walk reads a residue layer
     # per exponent (about 1 s at 1000 for n = 8, p = 3).

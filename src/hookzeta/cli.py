@@ -29,7 +29,8 @@ _BOUND_FLAGS = (
     (
         "--bound-spin",
         "spinning_max_order",
-        "largest residue-spinning estimate n^3 (n + p), and n^3 per member of the radical interval",
+        "largest residue-module estimate n^3 (n + p) for the word's blocks and their digraph,"
+        " and n^3 per member of the radical interval",
     ),
     ("--bound-max-exp", "walk_max_exp", "largest --max-exp accepted by enumerate"),
     ("--bound-specht-n", "specht_max_n", "largest n accepted by specht"),

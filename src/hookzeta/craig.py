@@ -10,9 +10,10 @@ lattices, implements the closed forms, and provides two independent
 enumeration routes:
 
 * a breadth-first walk over maximal stable sublattices, driven by the
-  maximal submodules of the residue module L/pL, which are read off one spin
-  per kernel block of a group-algebra word with squarefree characteristic
-  polynomial, and
+  maximal submodules of the residue module L/pL: a group-algebra word with
+  squarefree characteristic polynomial splits L/pL into blocks, and the
+  submodules are the sets of blocks closed under a digraph that the
+  generators draw on them (Lux, Mueller and Ringe 1994), and
 * an exhaustive census of all sublattices of a given index via canonical
   triangular bases, filtered by stability.
 
@@ -58,7 +59,6 @@ __all__ = [
     "maximal_sublattices_p",
     "rad_p",
     "phi_p",
-    "phi_p_class",
     "mu_p",
     "enumerate_p_sublattices",
     "enumerate_index_sublattices",
@@ -265,41 +265,42 @@ def _shifted_terms(action) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Submodules of the residue module L/pL by spinning.
+# Submodules of the residue module L/pL as reachability on a block digraph.
 #
 # A subspace is canonicalized as the tuple of rows of its reduced row echelon
-# basis over F_p (`_echelon`): the join of two subspaces is the echelon form of
-# their rows together, and `small` lies in `big` exactly when adding its rows
-# leaves `big` unchanged.  Spinning closes a single vector under the generator
-# action.
+# basis over F_p (`_echelon`).
 #
 # A group-algebra word B whose characteristic polynomial chi is squarefree
 # splits F_p^n into the B-irreducible blocks ker f(B), one per irreducible
 # factor f of chi.  Every submodule is B-invariant, hence the direct sum of
-# the blocks it contains, and the spin K_i of a nonzero vector k_i of block i
-# is the least submodule holding that block (the MeatAxe idea of Parker, "The
-# computer calculation of modular characters", 1984).  So the submodules are
-# the joins of spins, and the blocks carry a preorder: K_i lies in K_j
-# exactly when k_i does.  A top class is a spin that no other spin strictly
-# contains; with t of them, the maximal submodules are the t joins of the
-# spins outside one top class, the radical is the join of the spins that are
-# not top, and the radical interval is Boolean: 2^t joins that leave out a
-# set U of top classes, with Moebius value (-1)^|U|.  The words tried are the
-# prefix products A_1 ... A_k of the generators, longest first: for the
-# transpositions s_1, ..., s_n of the hook module, s_1 ... s_n is an
-# (n+1)-cycle with chi = 1 + x + ... + x^n and s_1 ... s_(n-1) an n-cycle with
-# chi = x^n - 1, and no prime divides both n and n+1, so one of the two is
-# squarefree mod every p; a family with no squarefree prefix raises
-# "no-semisimple-word".  No word is formed as a matrix: B acts on vectors as
-# its sparse factors cI + S, the memoized `_conjugated_action` reduced mod p
-# (c the generator's commonest diagonal entry; the word and the spins read
-# this one form), chi is the product of the relative minimal polynomials of
-# e_1, e_2, ..., and (chi / f)(B) e_j is a kernel vector of f(B) (the
-# spin-and-split step of the MeatAxe, Holt and Rees 1994).  The
-# bound `spinning_max_order` prices this path as n^3 (n + p): up to n words
-# whose chi reduces at most 2n Krylov vectors at O(n^2) each, and Berlekamp's
-# loops over range(p) at O(n^3 p).  Once the spins are known it adds n^3 per
-# member of the radical interval and stops at the same bound.
+# the blocks it contains (the local-submodule view of the MeatAxe: Lux,
+# Mueller and Ringe, "Peakword condensation and submodule lattices", J.
+# Symbolic Comput. 17, 1994).  In a basis P adapted to the blocks, a generator
+# cI + S maps block j into the blocks l where block (l, j) of P^-1 S P is
+# nonzero; these are the edges of a digraph on the t blocks.  The submodules
+# are the edge-closed sets of blocks, and the spin of a block, the least
+# submodule holding it, is the set of blocks it reaches.  A top class is a
+# spin that no other spin strictly contains; with t of them, the maximal
+# submodules are the t sums of the blocks outside one top class, the radical
+# is the sum of the spins that are not top, and the radical interval is
+# Boolean: 2^t sums that leave out a set U of top classes, with Moebius value
+# (-1)^|U|.  The words tried are the prefix products A_1 ... A_k of the
+# generators, longest first: for the transpositions s_1, ..., s_n of the hook
+# module, s_1 ... s_n is an (n+1)-cycle with chi = 1 + x + ... + x^n and
+# s_1 ... s_(n-1) an n-cycle with chi = x^n - 1, and no prime divides both n
+# and n+1, so one of the two is squarefree mod every p; a family with no
+# squarefree prefix raises "no-semisimple-word".  No word is formed as a
+# matrix: B acts on vectors as its sparse factors cI + S, the memoized
+# `_conjugated_action` reduced mod p (c the generator's commonest diagonal
+# entry; the word and the edges read this one form), chi is the product of the
+# relative minimal polynomials of e_1, e_2, ..., and (chi / f)(B) e_j is a
+# kernel vector of f(B) whose Krylov vectors are a basis of its block (the
+# spin-and-split step of the MeatAxe, Holt and Rees 1994).  The bound
+# `spinning_max_order` prices this path as n^3 (n + p): up to n words whose
+# chi reduces at most 2n Krylov vectors at O(n^2) each, Berlekamp's loops over
+# range(p) at O(n^3 p), one inverse of P and n^2 per nonzero row of each S.
+# Once the top classes are known it adds n^3 per member of the radical
+# interval and stops at the same bound.
 # The stable lattices between pL and L are the lifts of submodules, and
 # lifting preserves inclusion and intersection, so every entry point reads one
 # memoized layer of F_p keys, `_residue_layer`, and lifts only what it needs.
@@ -336,34 +337,6 @@ def _echelon(rows, p: int) -> tuple[tuple[int, ...], ...]:
     basis: list[tuple[int, list[int]]] = []
     for row in rows:
         _rref_insert(basis, list(row), p)
-    return tuple(tuple(row) for _, row in basis)
-
-
-def _spin(vec, shifted, p: int, n: int):
-    """Smallest action-invariant subspace containing vec, as a canonical key.
-
-    `shifted` is the action mod p as (c, terms), from `_residue_action`.
-    Worklist closure: every vector ever inserted is pushed once and its
-    generator images are reduced against the growing basis.  The inserted
-    vectors span the subspace, so checking their images suffices.  Returns
-    None as an early exit when the spin fills the whole space.
-    """
-    basis: list[tuple[int, list[int]]] = []
-    _rref_insert(basis, list(vec), p)
-    queue = [list(vec)]
-    while queue:
-        w = queue.pop()
-        for _, terms in shifted:
-            img = [0] * n
-            for r, row in terms:
-                s = 0
-                for j, x in row:
-                    s += x * w[j]
-                img[r] = s % p
-            if _rref_insert(basis, img, p):
-                if len(basis) == n:
-                    return None
-                queue.append(img)
     return tuple(tuple(row) for _, row in basis)
 
 
@@ -510,14 +483,16 @@ def _relative_minpolys(apply, p: int, n: int) -> list[tuple[int, list[int], list
 
 
 def _word_kernels(shifted, p: int, n: int):
-    """(k, chi, kernels) for the longest prefix word B = A_1 ... A_k whose
+    """(k, chi, blocks) for the longest prefix word B = A_1 ... A_k whose
     characteristic polynomial chi is squarefree over F_p, or ValueError.
 
-    kernels holds one (f, vec) per irreducible factor f of chi: vec is
-    (chi / f)(B) e_j for a start e_j whose relative minimal polynomial f
-    divides, a sum of its Krylov vectors when they reach deg(chi / f) (as
-    for a cyclic e_0), else by Horner's rule.  f(B) vec = chi(B) e_j = 0, and
-    vec is nonzero since f divides the minimal polynomial of e_j but not chi / f.
+    blocks holds one (f, basis) per irreducible factor f of chi: basis is the
+    Krylov basis vec, B vec, ..., B^(deg f - 1) vec of the block ker f(B), and
+    vec is (chi / f)(B) e_j for a start e_j whose relative minimal polynomial f
+    divides, a sum of its Krylov vectors when they reach deg(chi / f) (as for
+    a cyclic e_0), else by Horner's rule.  f(B) vec = chi(B) e_j = 0, and vec
+    is nonzero since f divides the minimal polynomial of e_j but not chi / f;
+    f is irreducible, so it is the minimal polynomial of vec.
     """
     for k in range(len(shifted), 0, -1):
         apply = _word_action(shifted[:k], p)
@@ -525,7 +500,7 @@ def _word_kernels(shifted, p: int, n: int):
         chi = reduce(lambda a, b: _poly_mul(a, b, p), (g for _, g, _ in starts))
         if not _is_squarefree(chi, p):
             continue
-        kernels = []
+        blocks = []
         for f in _berlekamp(chi, p):
             j, krylov = next((j, kr) for j, g, kr in starts if not _poly_divmod(g, f, p)[1])
             quo = _poly_divmod(chi, f, p)[0]
@@ -536,20 +511,49 @@ def _word_kernels(shifted, p: int, n: int):
                 for c in reversed(quo[:-1]):
                     vec = apply(vec)
                     vec[j] = (vec[j] + c) % p
-            kernels.append((f, vec))
-        return k, chi, kernels
+            basis = [vec]
+            while len(basis) < len(f) - 1:
+                basis.append(apply(basis[-1]))
+            blocks.append((f, basis))
+        return k, chi, blocks
     raise ValueError(f"no-semisimple-word: no prefix product is squarefree mod {p}")
 
 
-def _word_submodules(shifted, p: int, n: int, bounds: Bounds):
-    """One pair (k, K) per irreducible factor f of the chi of `_word_kernels`:
-    k spans part of the block ker f(B), and K is its spin, the least submodule
-    holding the block.  Raises ScaleError above the estimate n^3 (n + p).
+def _block_reach(shifted, p: int, n: int, bounds: Bounds):
+    """(bases, reach): the Krylov basis of each block of `_word_kernels`, and
+    per block the set of blocks its spin holds.  Raises ScaleError above the
+    estimate n^3 (n + p).
+
+    The bases are the columns of P; P^-1 is the right half of the echelon
+    form of [P | I].  A generator cI + S has an edge from block j to block l
+    when block (l, j) of P^-1 S P is nonzero, and only the rows R of S enter
+    P^-1 S P = P^-1[:, R] (S P)[R, :].  The spin of a block is the sum of the
+    blocks it reaches.
     """
     if n**3 * (n + p) > bounds.spinning_max_order:
         raise ScaleError("spinning-scale-exceeded: residue module is too large")
-    full = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return [(tuple(k), _spin(k, shifted, p, n) or full) for _, k in _word_kernels(shifted, p, n)[2]]
+    bases = [basis for _, basis in _word_kernels(shifted, p, n)[2]]
+    cols = [v for basis in bases for v in basis]
+    owner = [b for b, basis in enumerate(bases) for _ in basis]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    inverse = [row[n:] for row in _echelon((list(r) + u for r, u in zip(zip(*cols), unit)), p)]
+    edges = [{b} for b in range(len(bases))]
+    for _, terms in shifted:
+        images = [[sum(x * col[j] for j, x in row) for col in cols] for _, row in terms]
+        for a, inv_row in enumerate(inverse):
+            coeffs = [(inv_row[r], img) for (r, _), img in zip(terms, images) if inv_row[r]]
+            for b in range(n):
+                if owner[a] not in edges[owner[b]] and sum(c * img[b] for c, img in coeffs) % p:
+                    edges[owner[b]].add(owner[a])
+    reach = []
+    for b in range(len(bases)):
+        seen, stack = {b}, [b]
+        while stack:
+            new = edges[stack.pop()] - seen
+            seen |= new
+            stack += new
+        reach.append(frozenset(seen))
+    return bases, reach
 
 
 def _residue_action(lattice: LatticeBasis, gens, p: int) -> tuple:
@@ -577,31 +581,27 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
 def _residue_layer(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
     """The maximal submodules of L/pL, their meet, and the Moebius values above it.
 
-    F_p keys (maximal, radical, moebius), read off the spins of the blocks of
-    `_word_submodules` as the section comment describes; moebius maps each
-    member of the radical interval to its value.  A tripped bound, a family
-    without a semisimple word or a composite p raises, which is never cached.
+    F_p keys (maximal, radical, moebius), read off the reach sets of
+    `_block_reach` as the section comment describes; moebius maps each member
+    of the radical interval to its value.  A tripped bound, a family without a
+    semisimple word or a composite p raises, which is never cached.
     """
     _require_prime(p)
     n = lattice.dim
-    pairs = _word_submodules(_residue_action(lattice, gens, p), p, n, bounds)
-    # One kernel vector per distinct spin: a spin lies in K when its vector does,
-    # and under[K] holds the spins inside K.
-    vector = {spin: k for k, spin in pairs}
-    under = {
-        big: {s for s, k in vector.items() if _echelon(big + (k,), p) == big} for big in vector
-    }
-    classes = [s for s in under if not any(s in under[o] for o in under if o != s)]
+    bases, reach = _block_reach(_residue_action(lattice, gens, p), p, n, bounds)
+    spins = list(dict.fromkeys(reach))
+    classes = [s for s in spins if not any(s < o for o in spins)]
     if n**3 * 2 ** len(classes) > bounds.spinning_max_order:
         raise ScaleError("spinning-scale-exceeded: too many submodules")
+    below = frozenset().union(*(s for s in spins if s not in classes))
 
-    def join(keys):
-        return _echelon([row for key in keys for row in key], p)
+    def join(sets):
+        return _echelon([v for b in sorted(below.union(*sets)) for v in bases[b]], p)
 
-    radical = join(s for s in under if s not in classes)
-    maximal = tuple(join([radical] + [c for c in classes if c != out]) for out in classes)
+    radical = join(())
+    maximal = tuple(join(c for c in classes if c != out) for out in classes)
     moebius = {
-        join([radical] + [c for c, kept in zip(classes, keep) if kept]): (-1) ** keep.count(False)
+        join(c for c, kept in zip(classes, keep) if kept): (-1) ** keep.count(False)
         for keep in product((False, True), repeat=len(classes))
     }
     return maximal, radical, MappingProxyType(moebius)
@@ -613,10 +613,10 @@ def maximal_sublattices_p(
     """All maximal stable sublattices N with pL contained in N.
 
     These correspond to the maximal invariant subspaces of the residue module
-    L/pL, which come from one spin per irreducible factor of a semisimple
-    generator word; ValueError is raised when no prefix product of the
-    generators is semisimple mod p.  When the residue module is irreducible
-    the only such sublattice is pL itself.
+    L/pL, read off the blocks of a semisimple generator word; ValueError is
+    raised when no prefix product of the generators is semisimple mod p.
+    When the residue module is irreducible the only such sublattice is pL
+    itself.
     """
     maximal = _residue_layer(lattice, gens, p, bounds)[0]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in maximal)
@@ -643,13 +643,6 @@ def phi_p(
     """
     interval = _residue_layer(lattice, gens, p, bounds)[2]
     return _sorted_lattices(_lift_subspace(lattice, s, p) for s in interval)
-
-
-def phi_p_class(
-    lattice: LatticeBasis, gens, p: int, j: int, bounds: Bounds = DEFAULT_BOUNDS
-) -> list[LatticeBasis]:
-    """Members of phi_p isomorphic to L(p^j), named by `identify_stable_lattice`."""
-    return [x for x in phi_p(lattice, gens, p, bounds) if identify_stable_lattice(x) == p**j]
 
 
 def mu_p(

@@ -98,35 +98,6 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
 
-def det(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise MatrixError("determinant needs a square matrix")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pkk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            rowi = a[i]
-            rowk = a[k]
-            for j in range(k + 1, n):
-                rowi[j] = (pkk * rowi[j] - aik * rowk[j]) // prev
-            rowi[k] = 0
-        prev = pkk
-    return sign * a[n - 1][n - 1]
-
-
 def _column_hnf(cols: list[list[int]], nrows: int, transform: bool = False):
     """Reduce a list of column vectors to column-style HNF in place.
 

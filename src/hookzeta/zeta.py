@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import is_nth_power, prime_factorization, valuation
+from .arith import integer_nth_root, is_nth_power, prime_factorization, valuation
 from .specht import craig_generators, identify_specht_lattice, specht_generators_closed
 
 __all__ = [
@@ -320,8 +320,6 @@ def dirichlet_coeffs(z: GlobalZeta, limit: int) -> list[int]:
     n = z.riemann_exponent
     table = [0] * (limit + 1)
     for u, c in z.dirichlet_terms(limit).items():
-        x = 1
-        while (m := u * x**n) <= limit:
-            table[m] += c
-            x += 1
+        for x in range(1, integer_nth_root(limit // u, n) + 1):
+            table[u * x**n] += c
     return table[1:]

@@ -20,15 +20,14 @@ from hookzeta.craig import (
     maximal_sublattices_p,
     mu_p,
     phi_p,
-    phi_p_class,
     rad_p,
     scaled_inclusion,
     scaled_index,
     scaled_intersect,
     scaled_lattice_basis,
     scaled_maximal_sublattices,
+    _block_reach,
     _residue_action,
-    _word_submodules,
 )
 from hookzeta.exactmat import (
     IntMatrix,
@@ -396,14 +395,13 @@ class TestResidueSubmodules:
                 reached.add("no semisimple word")
                 return
             assert (sorted(got[0]), got[1], dict(got[2])) == (maximal, radical, moebius), (gens, p)
-            shifted = _residue_action(lat, gens, p)
-            spins = [key for _, key in _word_submodules(shifted, p, n, DEFAULT_BOUNDS)]
+            reach = _block_reach(_residue_action(lat, gens, p), p, n, DEFAULT_BOUNDS)[1]
             reached.update(
                 name
                 for name, hit in (
                     ("non-top block", radical != ()),
                     ("two top classes", len(maximal) > 1),
-                    ("equal spins", len(set(spins)) < len(spins)),
+                    ("equal spins", len(set(reach)) < len(reach)),
                 )
                 if hit
             )
@@ -427,9 +425,11 @@ class TestResidueSubmodules:
                             compare(LatticeBasis(IntMatrix.identity(n)), gens, p)
         assert reached == {"non-top block", "two top classes", "equal spins", "no semisimple word"}
 
-    def test_spin_matches_the_dense_closure(self):
-        # Every L(d) with n <= 7 at every p <= 7, and integer actions on Z^n;
-        # a spin that fills the space exits with None.
+    def test_reach_sets_match_the_dense_closure(self):
+        # Every L(d) with n <= 7 at every p <= 7, and integer actions on Z^n
+        # with a semisimple word: the blocks a block reaches span the closure
+        # of its kernel vector, in cases where they are all blocks and where
+        # they are not.
         rng = random.Random(11)
         cases = [
             (craig_lattice(n, d).basis, craig_generators(n), p)
@@ -448,13 +448,16 @@ class TestResidueSubmodules:
             n, action = lat.dim, dense_residue_action(lat, gens, p)
             shifted = _residue_action(lat, gens, p)
             assert_shifted_form(action, shifted, p, gens)
-            vectors = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-            vectors += [tuple(rng.randrange(p) for _ in range(n)) for _ in range(2)]
-            for vec in filter(any, vectors):
-                want = dense_closure(vec, action, p)
-                got = craig._spin(vec, shifted, p, n)
-                assert got == (None if len(want) == n else want), (action, p, vec)
-                exits.add(got is None)
+            try:
+                bases, reach = _block_reach(shifted, p, n, DEFAULT_BOUNDS)
+            except ValueError as exc:
+                assert "no-semisimple-word" in str(exc)
+                continue
+            for basis, blocks in zip(bases, reach):
+                got = craig._echelon([v for b in blocks for v in bases[b]], p)
+                for vec in basis:
+                    assert got == dense_closure(tuple(vec), action, p), (action, p)
+                exits.add(len(blocks) == len(bases))
         assert exits == {True, False}
 
     def test_word_kernels_match_dense_oracles(self):
@@ -462,8 +465,8 @@ class TestResidueSubmodules:
         # actions on Z^2 to Z^4.  For every prefix word the sparse word action
         # equals the dense product and the relative minimal polynomials
         # multiply to its dense characteristic polynomial; the chosen word is
-        # the longest squarefree one, and its kernels hold one nonzero vector
-        # of ker f(B) per irreducible factor f.
+        # the longest squarefree one, and its blocks hold the Krylov basis
+        # of ker f(B) per irreducible factor f, together a basis of F_p^n.
         cases = [
             (craig_lattice(n, d).basis, craig_generators(n), p)
             for n in range(2, 12)
@@ -502,15 +505,19 @@ class TestResidueSubmodules:
                     craig._word_kernels(shifted, p, n)
                 outcomes["raised"] += 1
                 continue
-            k, chi, kernels = craig._word_kernels(shifted, p, n)
+            k, chi, blocks = craig._word_kernels(shifted, p, n)
             assert (k, chi) == (max(squarefree), chis[k - 1])
-            assert reduce(lambda a, b: craig._poly_mul(a, b, p), (f for f, _ in kernels)) == chi
-            for f, vec in kernels:
+            assert reduce(lambda a, b: craig._poly_mul(a, b, p), (f for f, _ in blocks)) == chi
+            for f, basis in blocks:
                 assert is_irreducible(f, p), (f, p)
-                assert any(vec)
+                assert any(basis[0]) and len(basis) == len(f) - 1
                 fb = poly_at_matrix(f, words[k - 1], p)
-                assert [sum(map(mul, row, vec)) % p for row in fb] == [0] * n, (action, p, f)
-            outcomes["kernels"] += len(kernels)
+                for vec, nxt in zip(basis, basis[1:]):
+                    assert [sum(map(mul, row, vec)) % p for row in words[k - 1]] == nxt
+                for vec in basis:
+                    assert [sum(map(mul, row, vec)) % p for row in fb] == [0] * n, (action, p, f)
+            assert len(craig._echelon([v for _, basis in blocks for v in basis], p)) == n
+            outcomes["kernels"] += len(blocks)
         assert min(outcomes.values()) > 0, outcomes
 
     def test_identity_generators_have_no_semisimple_word(self):
@@ -575,22 +582,22 @@ class TestResidueSubmodules:
         n, p = 7, 2
         lat, gens = craig_lattice(n, 2).basis, craig_generators(n)
         craig._residue_layer.cache_clear()
-        spins = []
-        real = craig._spin
+        graphs = []
+        real = craig._block_reach
 
         def counted(*args):
-            spins.append(args)
+            graphs.append(args)
             return real(*args)
 
-        monkeypatch.setattr(craig, "_spin", counted)
+        monkeypatch.setattr(craig, "_block_reach", counted)
         members = phi_p(lat, gens, p)
-        assert spins
-        spins.clear()
+        assert len(graphs) == 1
+        graphs.clear()
         assert len(maximal_sublattices_p(lat, gens, p)) == 2
         assert rad_p(lat, gens, p) == scaled(n, p, 1, 1)
-        assert phi_p_class(lat, gens, p, 2) == [scaled(n, p, 0, 2)]
+        assert verify._interval_classes(lat, gens, p, DEFAULT_BOUNDS)[p**2] == [scaled(n, p, 0, 2)]
         assert sorted(mu_p(lat, gens, p, member) for member in members) == [-1, -1, 1, 1]
-        assert spins == []
+        assert graphs == []
 
     def test_clearing_a_result_leaves_later_calls_whole(self):
         lat, gens = craig_lattice(7, 2).basis, craig_generators(7)
@@ -693,7 +700,6 @@ class TestPrimeValidation:
             lambda: ScaledCraigLattice(4, 0, 0),
             lambda: rad_p(lat, gens, 4),
             lambda: phi_p(lat, gens, 4),
-            lambda: phi_p_class(lat, gens, 4, 1),
             lambda: mu_p(lat, gens, 4, lat),
             lambda: enumerate_p_sublattices(lat, gens, 4, 0),
             lambda: classify_sublattice(lat, 3, 4),
@@ -718,11 +724,11 @@ class TestRadicalInterval:
 
     def test_class_filter_examples(self):
         gens = craig_generators(3)
-        l1 = craig_lattice(3, 1).basis
-        assert phi_p_class(l1, gens, 2, 1) == [scaled(3, 2, 0, 1)]
-        assert phi_p_class(l1, gens, 2, 2) == []
-        l2 = craig_lattice(3, 2).basis
-        assert set(phi_p_class(l2, gens, 2, 1)) == {scaled(3, 2, 0, 1), scaled(3, 2, 1, 1)}
+        l1 = verify._interval_classes(craig_lattice(3, 1).basis, gens, 2, DEFAULT_BOUNDS)
+        assert l1.get(2) == [scaled(3, 2, 0, 1)]
+        assert l1.get(4, []) == []
+        l2 = verify._interval_classes(craig_lattice(3, 2).basis, gens, 2, DEFAULT_BOUNDS)
+        assert set(l2[2]) == {scaled(3, 2, 0, 1), scaled(3, 2, 1, 1)}
 
 
 class TestMoebius:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hookzeta import verify
-from hookzeta.arith import prime_factorization, valuation
+from hookzeta.arith import integer_nth_root, prime_factorization, valuation
 from hookzeta.zeta import (
     POLY_ZERO,
     GlobalZeta,
@@ -260,6 +260,22 @@ class TestSpechtZeta:
             assert z.d == n + 1
             for p, poly in z.local_factors:
                 assert poly == IntPoly(enumerate((1,) * (valuation(n + 1, p) + 1)))
+
+
+class TestIntegerNthRoot:
+    def test_matches_brute_force(self):
+        for n in range(1, 13):
+            for m in range(301):
+                want = max(x for x in range(m + 1) if x**n <= m)
+                assert integer_nth_root(m, n) == want, (m, n)
+
+    def test_root_one_at_large_exponents(self):
+        # n >= m.bit_length() means 1 <= m < 2^n; n = 10^100 would hang if a
+        # power were formed.
+        assert integer_nth_root(2**40 - 1, 40) == 1
+        assert integer_nth_root(2**40, 40) == 2
+        assert integer_nth_root(10**6, 10**100) == 1
+        assert integer_nth_root(0, 10**100) == 0
 
 
 class TestDirichletCoeff:
