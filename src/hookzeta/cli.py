@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 verification or identification failure (or a reader
 that closed standard output early), 2 bad or unreadable input, or a
 computation above a configured bound (`--bound-*`; `specht --n` above
 `--bound-specht-n`, `coeffs --limit` above `--bound-coeffs-limit` and
-`enumerate --max-exp` above `--bound-max-exp` stop before any work).
+`enumerate --max-exp` above `--bound-max-exp`, or at least 1 with a residue
+module above `--bound-spin`, stop before any work).
 """
 
 from __future__ import annotations
@@ -101,11 +102,14 @@ def cmd_enumerate(args) -> int:
             raise ScaleError("enumeration-scale-exceeded: oracle range above configured bound")
     if args.max_exp > bounds.walk_max_exp:
         raise ScaleError(f"walk-scale-exceeded: --max-exp is above {bounds.walk_max_exp}")
-    gens = specht.craig_generators(args.n)
+    if args.max_exp >= 1:
+        craig.check_spinning_scale(args.n, args.prime, bounds)
     base = craig.craig_lattice(args.n, args.d).basis
-    if not craig.is_g_stable(base, gens):
+    # L(d) is stable exactly when d divides n + 1; `verify` checks this with is_g_stable.
+    if (args.n + 1) % args.d:
         print("requested lattice is not stable", file=sys.stderr)
         return 2
+    gens = specht.craig_generators(args.n)
     found = craig.enumerate_p_sublattices(base, gens, args.prime, args.max_exp, bounds)
     counts = {str(e): len(found.get(e, [])) for e in range(args.max_exp + 1)}
     if args.oracle:

@@ -63,6 +63,7 @@ __all__ = [
     "enumerate_p_sublattices",
     "enumerate_index_sublattices",
     "classify_sublattice",
+    "check_spinning_scale",
 ]
 
 
@@ -267,8 +268,14 @@ def _shifted_terms(action) -> tuple:
 # ---------------------------------------------------------------------------
 # Submodules of the residue module L/pL as reachability on a block digraph.
 #
-# A subspace is canonicalized as the tuple of rows of its reduced row echelon
-# basis over F_p (`_echelon`).
+# All linear algebra over F_p is one reduction, `_rref_insert`, into a reduced
+# echelon basis kept as a dict from pivot to row.  Entries past the pivot
+# width are tags carried through every row operation, so keys, kernels,
+# inverses and Krylov relations all come from it: a subspace is canonicalized
+# as its reduced echelon rows (`_echelon`), P^-1 is the tag half of the
+# echelon form of [P | I], Berlekamp's subalgebra is the tags of the rows of
+# Q - I that reduce to zero, and a Krylov vector B^m e tagged x^m reduces to
+# zero with the relative minimal polynomial of e as its tag.
 #
 # A group-algebra word B whose characteristic polynomial chi is squarefree
 # splits F_p^n into the B-irreducible blocks ker f(B), one per irreducible
@@ -307,47 +314,42 @@ def _shifted_terms(action) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _rref_insert(basis: list[tuple[int, list[int]]], vec: list[int], p: int) -> bool:
-    """Reduce vec against an echelon basis, inserting the residue if nonzero.
+def _rref_insert(basis: dict[int, list[int]], vec: list[int], p: int, width: int) -> list[int]:
+    """Reduce vec against a reduced echelon basis over F_p and return the residue.
 
-    basis holds (pivot_position, row) pairs with unit pivots, kept reduced.
-    Returns True when the basis grew.
+    basis maps each pivot to its row, which has a unit pivot and is zero at
+    every other pivot.  Pivots come only from the first width entries; when
+    the residue is nonzero there it is scaled to a unit pivot and inserted.
+    The entries past width are tags, carried through every row operation: a
+    vector inserted with tag e_i records which combination of inserted vectors
+    each row and each residue is.  The residue is a new list, reduced mod p
+    once at the end.
     """
-    v = vec[:]
-    for pos, row in basis:
-        c = v[pos]
+    v = vec
+    for pos, row in basis.items():
+        c = v[pos] % p
         if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    if not any(v):
-        return False
-    lead = next(i for i, x in enumerate(v) if x)
-    inv = pow(v[lead], p - 2, p) if p > 2 else v[lead]
-    v = [(x * inv) % p for x in v]
-    for pos, row in basis:
+            v = [x - c * y for x, y in zip(v, row)]
+    v = [x % p for x in v]
+    lead = next((i for i in range(width) if v[i]), None)
+    if lead is None:
+        return v
+    inv = pow(v[lead], -1, p)
+    v = [x * inv % p for x in v]
+    for row in basis.values():
         c = row[lead]
         if c:
             row[:] = [(x - c * y) % p for x, y in zip(row, v)]
-    basis.append((lead, v))
-    basis.sort(key=lambda t: t[0])
-    return True
+    basis[lead] = v
+    return v
 
 
 def _echelon(rows, p: int) -> tuple[tuple[int, ...], ...]:
     """The canonical key of the span of rows over F_p: its reduced echelon basis."""
-    basis: list[tuple[int, list[int]]] = []
+    basis: dict[int, list[int]] = {}
     for row in rows:
-        _rref_insert(basis, list(row), p)
-    return tuple(tuple(row) for _, row in basis)
-
-
-def _nullspace_mod(rows, p: int, n: int) -> list[list[int]]:
-    """A basis of the vectors v in F_p^n with row . v = 0 for every row."""
-    basis = {next(i for i, x in enumerate(row) if x): row for row in _echelon(rows, p)}
-    return [
-        [-basis[i][free] % p if i in basis else int(i == free) for i in range(n)]
-        for free in range(n)
-        if free not in basis
-    ]
+        _rref_insert(basis, row, p, len(row))
+    return tuple(tuple(basis[pos]) for pos in sorted(basis))
 
 
 # Polynomials over F_p are coefficient lists, constant term first, with no
@@ -399,20 +401,24 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     """The monic irreducible factors of a monic squarefree f over F_p.
 
     The polynomials g of degree below deg f with g^p = g mod f form the
-    Berlekamp subalgebra, the null space of Q - I where row i of Q holds
-    x^(ip) mod f.  Each such g is constant modulo every irreducible factor,
+    Berlekamp subalgebra, the g with g (Q - I) = 0 where row i of Q holds
+    x^(ip) mod f: the tags of the rows of Q - I, row i tagged with e_i, that
+    reduce to zero.  Each such g is constant modulo every irreducible factor,
     so h = prod_s gcd(h, g - s) for every factor h of f, and a basis of the
     subalgebra separates all irreducible factors.  The subalgebra has one
     dimension per irreducible factor, which says when to stop.
     """
     n = len(f) - 1
     x_p = _poly_divmod([0] * p + [1], f, p)[1]
-    q = [[1]]
-    for _ in range(1, n):
-        q.append(_poly_divmod(_poly_mul(q[-1], x_p, p), f, p)[1])
-    q = [row + [0] * (n - len(row)) for row in q]
-    q_minus_i = [[(q[i][j] - (i == j)) % p for i in range(n)] for j in range(n)]
-    algebra = _nullspace_mod(q_minus_i, p, n)
+    basis: dict[int, list[int]] = {}
+    algebra, power = [], [1]
+    for i in range(n):
+        row = power + [0] * (n - len(power))
+        row[i] -= 1
+        residue = _rref_insert(basis, row + [int(i == j) for j in range(n)], p, n)
+        if not any(residue[:n]):
+            algebra.append(residue[n:])
+        power = _poly_divmod(_poly_mul(power, x_p, p), f, p)[1]
     factors = [f]
     for g in algebra:
         if len(factors) == len(algebra):
@@ -454,31 +460,27 @@ def _relative_minpolys(apply, p: int, n: int) -> list[tuple[int, list[int], list
     """Triples (j, g_j, [e_j, B e_j, ..., B^deg(g_j) e_j]), g_j the least monic g
     with g(B) e_j in the B-invariant span W of e_0, ..., e_(j-1), so that chi(B)
     is their product (Keller-Gehrig, "Fast algorithms for the characteristic
-    polynomial", 1985).  Each Krylov vector is reduced against W and the chain
-    so far, tracking its polynomial in B; starts already in W are skipped."""
-    span: list = []  # rows (pivot, row, ()) of W with unit pivots, met before the chain
+    polynomial", 1985).  Each Krylov vector B^m e_j enters one basis with tag
+    x^m, so the tag of the first zero residue is g_j; the tags are cleared
+    before the next start, and starts already in W are skipped."""
+    basis: dict[int, list[int]] = {}
     out = []
     for j in range(n):
-        if len(span) == n:
+        if len(basis) == n:
             break
-        vec, chain, krylov = [int(i == j) for i in range(n)], [], []
+        for row in basis.values():
+            row[n:] = [0] * (n + 1)
+        vec, krylov = [int(i == j) for i in range(n)], []
         while True:
             krylov.append(vec)
-            w, poly = vec, [0] * len(chain) + [1]
-            for pos, row, rpoly in span + chain:
-                c = w[pos]
-                if c:
-                    w = [(x - c * y) % p for x, y in zip(w, row)]
-                    poly[: len(rpoly)] = [(x - c * y) % p for x, y in zip(poly, rpoly)]
-            if not any(w):
+            tag = [0] * (n + 1)
+            tag[len(krylov) - 1] = 1
+            residue = _rref_insert(basis, vec + tag, p, n)
+            if not any(residue[:n]):
                 break
-            lead = next(i for i, x in enumerate(w) if x)
-            inv = pow(w[lead], -1, p)
-            chain.append((lead, [x * inv % p for x in w], [x * inv % p for x in poly]))
             vec = apply(vec)
-        if chain:
-            out.append((j, poly, krylov))
-            span += [(pos, row, ()) for pos, row, _ in chain]
+        if len(krylov) > 1:
+            out.append((j, _poly_trim(residue[n:]), krylov))
     return out
 
 
@@ -519,6 +521,13 @@ def _word_kernels(shifted, p: int, n: int):
     raise ValueError(f"no-semisimple-word: no prefix product is squarefree mod {p}")
 
 
+def check_spinning_scale(n: int, p: int, bounds: Bounds) -> None:
+    """Raise ScaleError when a residue module F_p^n prices above the bound:
+    the estimate n^3 (n + p) of its word and block digraph."""
+    if n**3 * (n + p) > bounds.spinning_max_order:
+        raise ScaleError("spinning-scale-exceeded: residue module is too large")
+
+
 def _block_reach(shifted, p: int, n: int, bounds: Bounds):
     """(bases, reach): the Krylov basis of each block of `_word_kernels`, and
     per block the set of blocks its spin holds.  Raises ScaleError above the
@@ -530,8 +539,7 @@ def _block_reach(shifted, p: int, n: int, bounds: Bounds):
     P^-1 S P = P^-1[:, R] (S P)[R, :].  The spin of a block is the sum of the
     blocks it reaches.
     """
-    if n**3 * (n + p) > bounds.spinning_max_order:
-        raise ScaleError("spinning-scale-exceeded: residue module is too large")
+    check_spinning_scale(n, p, bounds)
     bases = [basis for _, basis in _word_kernels(shifted, p, n)[2]]
     cols = [v for basis in bases for v in basis]
     owner = [b for b, basis in enumerate(bases) for _ in basis]
@@ -658,7 +666,7 @@ def mu_p(
     moebius = _residue_layer(lattice, gens, p, bounds)[2]
     coords = solve_in_lattice(lattice.hnf, target.hnf) if target.dim == lattice.dim else None
     if coords is not None:
-        key = _echelon(([x % p for x in col] for col in zip(*coords.entries)), p)
+        key = _echelon(zip(*coords.entries), p)
         index = p ** (lattice.dim - len(key))
         if key in moebius and target.determinant() == lattice.determinant() * index:
             return moebius[key]

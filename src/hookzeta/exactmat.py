@@ -98,16 +98,17 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
 
-def _column_hnf(cols: list[list[int]], nrows: int, transform: bool = False):
+def _column_hnf(cols: list[list[int]], nrows: int) -> list[list[int]]:
     """Reduce a list of column vectors to column-style HNF in place.
 
+    Pivots come from the first nrows entries of each column; the entries past
+    nrows are tags that every column operation carries along, so a column
+    tagged with e_j records which combination of the input columns it is.
     Uses only unimodular column operations, so the column span is preserved.
-    Returns (cols, U) where U is the applied transformation (as columns) when
-    requested.  Raises MatrixError("singular") when the columns do not span a
-    full-rank lattice in Z^nrows.
+    Returns cols.  Raises MatrixError("singular") when the columns do not span
+    a full-rank lattice in Z^nrows.
     """
     m = len(cols)
-    U = [[1 if i == j else 0 for i in range(m)] for j in range(m)] if transform else None
     for i in range(nrows):
         if i >= m:
             raise MatrixError("singular")
@@ -118,43 +119,28 @@ def _column_hnf(cols: list[list[int]], nrows: int, transform: bool = False):
             a = cols[i][i]
             if a == 0:
                 cols[i], cols[j] = cols[j], cols[i]
-                if U is not None:
-                    U[i], U[j] = U[j], U[i]
                 continue
             g, x, y = xgcd(a, b)
             u, v = a // g, b // g
             ci, cj = cols[i], cols[j]
-            for r in range(i, nrows):
+            for r in range(i, len(ci)):
                 s, t = ci[r], cj[r]
                 ci[r] = x * s + y * t
                 cj[r] = u * t - v * s
-            if U is not None:
-                ui, uj = U[i], U[j]
-                for r in range(m):
-                    s, t = ui[r], uj[r]
-                    ui[r] = x * s + y * t
-                    uj[r] = u * t - v * s
-        piv = cols[i][i]
+        ci = cols[i]
+        piv = ci[i]
         if piv == 0:
             raise MatrixError("singular")
         if piv < 0:
-            for r in range(i, nrows):
-                cols[i][r] = -cols[i][r]
-            if U is not None:
-                U[i] = [-x for x in U[i]]
+            ci[i:] = [-x for x in ci[i:]]
             piv = -piv
         for j in range(i):
             q = cols[j][i] // piv
             if q:
                 cj = cols[j]
-                ci = cols[i]
-                for r in range(i, nrows):
+                for r in range(i, len(ci)):
                     cj[r] -= q * ci[r]
-                if U is not None:
-                    uj, ui = U[j], U[i]
-                    for r in range(m):
-                        uj[r] -= q * ui[r]
-    return cols, U
+    return cols
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
@@ -169,7 +155,7 @@ def hnf(m: IntMatrix) -> IntMatrix:
     if m.rows > m.cols:
         raise MatrixError("singular")
     cols = [list(m.column(j)) for j in range(m.cols)]
-    reduced, _ = _column_hnf(cols, m.rows)
+    reduced = _column_hnf(cols, m.rows)
     return IntMatrix(tuple(tuple(reduced[j][i] for j in range(m.rows)) for i in range(m.rows)))
 
 
@@ -292,20 +278,19 @@ def lattice_sum(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
 def lattice_intersect(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
     """Largest lattice contained in both operands.
 
-    Computed from the integer kernel of the stacked map [A | B]: kernel
-    columns (x, y) satisfy A x = -B y, and A applied to the x parts spans the
+    The columns (A e_j, e_j) and (B e_j, 0) reduce to column HNF with the
+    second halves as tags.  The first n columns become the HNF of [A | B];
+    the last n have a zero first half, so their tags x are the x parts of a
+    basis of the integer kernel {(x, y) : A x + B y = 0}, and the A x span the
     intersection.
     """
     if a.dim != b.dim:
         raise MatrixError("dimension mismatch")
     n = a.dim
-    cols = [list(a.hnf.column(j)) for j in range(n)] + [list(b.hnf.column(j)) for j in range(n)]
-    _, U = _column_hnf(cols, n, transform=True)
-    gens = []
-    for j in range(n, 2 * n):
-        x = U[j][:n]
-        gens.append(a.hnf.apply(x))
-    return LatticeBasis(IntMatrix.from_columns(gens))
+    cols = [list(a.hnf.column(j)) + [int(i == j) for i in range(n)] for j in range(n)]
+    cols += [list(b.hnf.column(j)) + [0] * n for j in range(n)]
+    kernel = _column_hnf(cols, n)[n:]
+    return LatticeBasis(IntMatrix.from_columns(a.hnf.apply(col[n:]) for col in kernel))
 
 
 def is_scalar_multiple(a: LatticeBasis, b: LatticeBasis) -> Fraction | None:

@@ -10,6 +10,7 @@ Riemann zeta at n*s times one polynomial correction per prime dividing n+1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .arith import integer_nth_root, is_nth_power, prime_factorization, valuation
@@ -194,14 +195,26 @@ def local_factor(n: int, p: int, i: int) -> LocalFactor:
     return LocalFactor(n, _factor_numerator(n, v, i))
 
 
-def _terms(poly: IntPoly, p: int, times: str, power: str) -> list[str]:
+def _terms(poly: IntPoly, p: int, times: str, power: str, big: str) -> list[str]:
     """The nonzero terms c (p^j)^(-s) of one local polynomial, as text.
 
     `times` separates a coefficient other than 1 from its power, and `power`
-    is a format string that receives p^j.
+    is a format string that receives p^j.  A p^j with more digits than
+    `sys.get_int_max_str_digits()` allows (0 means no limit) goes in as
+    `big.format(p, j)` instead, and is never formed: p^j >= 2^(j (b - 1)) for
+    p of b bits, so it is past the limit D when j (b - 1) reaches the bit
+    length of 10^D, and otherwise small enough to compare with 10^D.
     """
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    top = 10**digits if digits else None
+
+    def base(j: int) -> str:
+        if top is None or (j * (p.bit_length() - 1) < top.bit_length() and p**j < top):
+            return str(p**j)
+        return big.format(p, j)
+
     return [
-        str(c) if j == 0 else ("" if c == 1 else f"{c}{times}") + power.format(p**j)
+        str(c) if j == 0 else ("" if c == 1 else f"{c}{times}") + power.format(base(j))
         for j, c in poly.terms
     ]
 
@@ -255,14 +268,14 @@ class GlobalZeta:
 
     def to_latex(self) -> str:
         factors = (
-            "\\,(" + "+".join(_terms(poly, p, "\\cdot ", "{}^{{-s}}")) + ")"
+            "\\,(" + "+".join(_terms(poly, p, "\\cdot ", "{}^{{-s}}", "{{{}^{{{}}}}}")) + ")"
             for p, poly in self.local_factors
         )
         return f"\\zeta_{{\\mathbf{{Q}}}}({self.n}s)" + "".join(factors)
 
     def to_text(self) -> str:
         factors = (
-            "(" + " + ".join(_terms(poly, p, "*", "{}^(-s)")) + ")"
+            "(" + " + ".join(_terms(poly, p, "*", "{}^(-s)", "({}^{})")) + ")"
             for p, poly in self.local_factors
         )
         return " * ".join([f"zeta_Q({self.n}s)", *factors])

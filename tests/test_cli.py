@@ -34,6 +34,14 @@ class TestZetaCommand:
         blob = json.loads(out)
         assert blob["local_factors"] == [{"coeffs": [1, 1], "p": 3}]
 
+    def test_past_the_digit_limit(self, capsys):
+        # 1667^4999 and 101^999999 have more digits than Python prints by default.
+        for n in ("5000", "1000000"):
+            for fmt in ("text", "latex"):
+                code, out, err = run(capsys, "zeta", "--n", n, "--d", "1", "--format", fmt)
+                assert (code, err) == (0, ""), (n, fmt)
+                assert out.startswith(("zeta_Q(", "\\zeta_")), (n, fmt)
+
     def test_text(self, capsys):
         code, out, _ = run(capsys, "zeta", "--n", "2", "--d", "1")
         assert code == 0
@@ -471,6 +479,34 @@ class TestBoundOverrides:
             assert err.startswith("error: walk-scale-exceeded")
         code, out, _ = run(capsys, "--bound-max-exp", "4", *argv, "4", "--format", "text")
         assert (code, out) == (0, "1 1 1 1 1\n")
+
+    def test_walk_checks_scale_and_stability_first(self, capsys, monkeypatch):
+        # At n = 200 the residue module prices at 200^3 * 202 > 10^6, so the
+        # walk is refused before L(d) or a generator is built; L(2) at n = 4
+        # is unstable since 2 does not divide 5, which needs no generator.
+        def forbidden(*args):
+            raise AssertionError("enumerate built what its checks refuse")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(specht, "craig_generators", forbidden)
+            patch.setattr(craig, "is_g_stable", forbidden)
+            patch.setattr(craig, "craig_lattice", forbidden)
+            code, out, err = run(
+                capsys, "enumerate", "--n", "200", "--prime", "2", "--max-exp", "1"
+            )
+            assert (code, out) == (2, "")
+            assert err == "error: spinning-scale-exceeded: residue module is too large\n"
+        with monkeypatch.context() as patch:
+            patch.setattr(specht, "craig_generators", forbidden)
+            patch.setattr(craig, "is_g_stable", forbidden)
+            argv = ["enumerate", "--n", "4", "--prime", "2", "--max-exp", "1", "--d"]
+            code, out, err = run(capsys, *argv, "2")
+            assert (code, out, err) == (2, "", "requested lattice is not stable\n")
+            code, out, err = run(capsys, *argv, "0")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "Traceback" not in err
+        code, out, _ = run(capsys, *argv, "5", "--format", "text")
+        assert (code, out) == (0, "1 0\n")
 
     def test_tripped_spin_bound_stops_verify(self, capsys):
         code, out, err = run(capsys, "--bound-spin", "5", "verify", "--n-max", "2")

@@ -120,16 +120,16 @@ def dense_closure(vec, action, p):
     """The echelon key of the smallest subspace holding vec that every dense
     action matrix maps into itself, mod p: the span of vec and of the images
     of every vector that enlarged it."""
-    basis = []
-    craig._rref_insert(basis, list(vec), p)
+    basis = {}
+    craig._rref_insert(basis, list(vec), p, len(vec))
     queue = [vec]
     while queue:
         v = queue.pop()
         for rows in action:
             img = [sum(map(mul, row, v)) % p for row in rows]
-            if craig._rref_insert(basis, img, p):
+            if any(craig._rref_insert(basis, img, p, len(img))):
                 queue.append(img)
-    return tuple(tuple(row) for _, row in basis)
+    return tuple(tuple(row) for _, row in sorted(basis.items()))
 
 
 def exhaustive_layer(action, p, n):
@@ -374,6 +374,72 @@ class TestMaximalSublattices:
         assert maximal_sublattices_p(lat, gens, 7) == [craig_lattice(6, 7).basis]
         with pytest.raises(ScaleError, match="spinning-scale-exceeded"):
             maximal_sublattices_p(lat, gens, 7, Bounds(spinning_max_order=1000))
+
+
+def echelon_cases():
+    """Seeded (rows, p) over p in {2, 3, 5, 7}, up to 8 x 8, with zero rows,
+    repeated rows and rows that are sums of earlier ones mixed in."""
+    rng = random.Random(41)
+    cases = []
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            rows = []
+            for _ in range(m):
+                kind = rng.random()
+                if kind < 0.15:
+                    rows.append([0] * n)
+                elif kind < 0.3 and rows:
+                    rows.append(list(rng.choice(rows)))
+                elif kind < 0.45 and len(rows) > 1:
+                    a, b = rng.sample(rows, 2)
+                    rows.append([(x + y) % p for x, y in zip(a, b)])
+                else:
+                    rows.append([rng.randrange(p) for _ in range(n)])
+            cases.append((rows, p))
+    return cases
+
+
+class TestEchelon:
+    """The one F_p reduction, against sympy and against plain multiplication."""
+
+    def test_keys_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        for rows, p in echelon_cases():
+            field = sympy.GF(p)
+            shape = (len(rows), len(rows[0]))
+            reduced = DomainMatrix([[field(x) for x in row] for row in rows], shape, field).rref()[0]
+            want = [[field.to_int(x) % p for x in row] for row in reduced.to_list()]
+            assert craig._echelon(rows, p) == tuple(tuple(r) for r in want if any(r)), (rows, p)
+
+    def test_tags_give_kernels_and_inverses(self):
+        reached = set()
+        for rows, p in echelon_cases():
+            m, n = len(rows), len(rows[0])
+            basis, kernel = {}, []
+            for i, row in enumerate(rows):
+                residue = craig._rref_insert(basis, row + [int(i == j) for j in range(m)], p, n)
+                if not any(residue[:n]):
+                    kernel.append(residue[n:])
+            rank = len(craig._echelon(rows, p))
+            assert len(basis) == rank and len(kernel) == m - rank
+            # Row i tagged e_i leaves a 1 at i and only earlier rows below it,
+            # so the kernel tags are nonzero and independent.
+            lasts = [max(i for i, x in enumerate(t) if x) for t in kernel]
+            assert len(set(lasts)) == len(kernel)
+            for t, last in zip(kernel, lasts):
+                assert t[last] == 1
+                assert [sum(t[i] * rows[i][j] for i in range(m)) % p for j in range(n)] == [0] * n
+            reached.add("kernel" if kernel else "independent")
+            if m == n == rank:
+                unit = [[int(i == j) for j in range(n)] for i in range(n)]
+                inverse = [r[n:] for r in craig._echelon([r + u for r, u in zip(rows, unit)], p)]
+                product = [[sum(a * b for a, b in zip(r, col)) % p for col in zip(*rows)] for r in inverse]
+                assert product == unit, (rows, p)
+                reached.add("inverse")
+        assert reached == {"kernel", "independent", "inverse"}
 
 
 class TestResidueSubmodules:

@@ -275,6 +275,9 @@ class TestIntersectAndSum:
             common = a.scale(b.determinant())
             assert is_sublattice(common, a) and is_sublattice(common, b)
             assert is_sublattice(common, meet)
+            # Second isomorphism theorem: (a + b) / b is isomorphic to a / (a meet b),
+            # which with meet inside a and b fixes the meet exactly.
+            assert lattice_index(a, meet) == lattice_index(lattice_sum(a, b), b)
 
     def test_absorption_laws(self):
         rng = random.Random(31)

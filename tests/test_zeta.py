@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import pytest
 
@@ -217,6 +219,68 @@ class TestGlobalZeta:
                 for _p, poly in global_zeta(n, d).local_factors:
                     assert poly.terms[0] == (0, 1)
                     assert all(c >= 0 for _, c in poly.terms)
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets the interpreter's int-to-str digit limit for one test, then restores it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str digit limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+class TestPowersPastTheDigitLimit:
+    """A p^j with more decimal digits than the interpreter prints is written
+    as (p^j)^(-s) in text and {p^{j}}^{-s} in latex; every other term keeps
+    its decimal form."""
+
+    def test_n5000(self, digit_limit):
+        # 5001 = 3 * 1667: 3^4999 has 2386 digits, 1667^4999 has 16104.
+        digit_limit(4300)
+        z = global_zeta(5000, 1)
+        assert z.to_text() == f"zeta_Q(5000s) * (1 + {3**4999}^(-s)) * (1 + (1667^4999)^(-s))"
+        assert z.to_latex() == (
+            f"\\zeta_{{\\mathbf{{Q}}}}(5000s)\\,(1+{3**4999}^{{-s}})\\,(1+{{1667^{{4999}}}}^{{-s}})"
+        )
+
+    def test_n1000000(self, digit_limit):
+        # 1000001 = 101 * 9901: both powers are past the limit.
+        digit_limit(4300)
+        z = global_zeta(10**6, 1)
+        assert z.to_text() == "zeta_Q(1000000s) * (1 + (101^999999)^(-s)) * (1 + (9901^999999)^(-s))"
+        assert z.to_latex() == (
+            "\\zeta_{\\mathbf{Q}}(1000000s)\\,(1+{101^{999999}}^{-s})\\,(1+{9901^{999999}}^{-s})"
+        )
+
+    def test_boundary(self, digit_limit):
+        # A power prints in full exactly when it has at most 640 digits, on
+        # both sides of the bit-length shortcut (2^2127 is the first power of
+        # 2 past 10^640) and of the exact comparison (10^640 has 641 digits).
+        digit_limit(640)
+        for p, j in ((2, 2126), (2, 2127), (10, 639), (10, 640), (3, 1341), (3, 1342)):
+            z = GlobalZeta(2, 1, 2, ((p, IntPoly([(0, 1), (j, 1)])),))
+            fits = p**j < 10**640
+            assert z.to_text().endswith(f"{p**j}^(-s))" if fits else f"({p}^{j})^(-s))"), (p, j)
+            assert z.to_latex().endswith(f"{p**j}^{{-s}})" if fits else f"{{{p}^{{{j}}}}}^{{-s}})")
+            assert fits == (j in (2126, 639, 1341)), (p, j)
+
+    def test_no_limit_prints_every_power(self, digit_limit, monkeypatch):
+        # A limit of 0 means none, as does a Python without the limit.
+        digit_limit(0)
+        want = f"zeta_Q(5000s) * (1 + {3**4999}^(-s)) * (1 + {1667**4999}^(-s))"
+        assert global_zeta(5000, 1).to_text() == want
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert global_zeta(5000, 1).to_text() == want
+
+    def test_no_term_past_the_limit_up_to_n200(self, digit_limit):
+        digit_limit(4300)
+        for n in range(2, 201):
+            for d in (x for x in range(1, n + 2) if (n + 1) % x == 0):
+                z = global_zeta(n, d)
+                assert not re.search(r"\(\d+\^\d+\)", z.to_text()), (n, d)
+                assert not re.search(r"\{\d+\^\{", z.to_latex()), (n, d)
 
 
 class TestDenseOracle:
