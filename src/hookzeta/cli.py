@@ -91,9 +91,9 @@ def cmd_coeffs(args) -> int:
 
 def cmd_enumerate(args) -> int:
     bounds = _bounds_from_args(args)
-    if not is_prime(args.prime):
-        raise ValueError("--prime must be a prime number")
-    if args.oracle:
+    # The bounds come before is_prime, which trial-divides a 19-digit p for
+    # minutes; the oracle's loop ends only for p > 1.
+    if args.oracle and args.prime > 1:
         # top is the largest e with p^e within the bound; p^max_exp is never formed.
         top, power = -1, 1
         while power <= bounds.index_enumeration_max:
@@ -104,6 +104,8 @@ def cmd_enumerate(args) -> int:
         raise ScaleError(f"walk-scale-exceeded: --max-exp is above {bounds.walk_max_exp}")
     if args.max_exp >= 1:
         craig.check_spinning_scale(args.n, args.prime, bounds)
+    if not is_prime(args.prime):
+        raise ValueError("--prime must be a prime number")
     base = craig.craig_lattice(args.n, args.d).basis
     # L(d) is stable exactly when d divides n + 1; `verify` checks this with is_g_stable.
     if (args.n + 1) % args.d:
@@ -135,21 +137,18 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        basis = matrix_from_json(json.load(fh))
     try:
-        lat = LatticeBasis(basis)
-    except LatticeError as exc:
+        # json.load raises RecursionError on deeply nested input.
+        with open(args.file, "r", encoding="utf-8") as fh:
+            lat = LatticeBasis(matrix_from_json(json.load(fh)))
+    except (LatticeError, RecursionError) as exc:
         raise ValueError(str(exc)) from None
     if lat.dim != args.n:
         raise ValueError("basis dimension does not match --n")
-    gens = specht.craig_generators(args.n)
-    if not craig.is_g_stable(lat, gens):
-        print("lattice is not stable under the action", file=sys.stderr)
-        return 1
+    # By Craig-Plesken every stable lattice is r L(d) with d | n+1, so None means unstable.
     d = craig.identify_stable_lattice(lat)
     if d is None:
-        print("no stable representative matches", file=sys.stderr)
+        print("lattice is not stable under the action", file=sys.stderr)
         return 1
     if args.format == "json":
         _emit_json({"n": args.n, "d": d})

@@ -208,7 +208,7 @@ def is_g_stable(lattice: LatticeBasis, gens) -> bool:
 
 
 # Entries each memo keeps; the benchmark's census grid walks 450 distinct census
-# layers, and `verify --n-max 6` reads 56 distinct residue layers.
+# layers, and `verify --n-max 6` reads 30 distinct residue layers.
 _LAYER_CACHE_SIZE = 1024
 
 
@@ -309,8 +309,8 @@ def _shifted_terms(action) -> tuple:
 # Once the top classes are known it adds n^3 per member of the radical
 # interval and stops at the same bound.
 # The stable lattices between pL and L are the lifts of submodules, and
-# lifting preserves inclusion and intersection, so every entry point reads one
-# memoized layer of F_p keys, `_residue_layer`, and lifts only what it needs.
+# lifting preserves inclusion and intersection, so every entry point lifts what
+# it needs from one layer of F_p keys per reduced action, `_action_layer`.
 # ---------------------------------------------------------------------------
 
 
@@ -585,18 +585,19 @@ def _sorted_lattices(lats) -> list[LatticeBasis]:
     return sorted(lats, key=lambda l: l.key())
 
 
-@lru_cache(maxsize=_LAYER_CACHE_SIZE)
 def _residue_layer(lattice: LatticeBasis, gens, p: int, bounds: Bounds):
-    """The maximal submodules of L/pL, their meet, and the Moebius values above it.
-
-    F_p keys (maximal, radical, moebius), read off the reach sets of
-    `_block_reach` as the section comment describes; moebius maps each member
-    of the radical interval to its value.  A tripped bound, a family without a
-    semisimple word or a composite p raises, which is never cached.
-    """
+    """`_action_layer` of the lattice's residue action; p must be prime."""
     _require_prime(p)
-    n = lattice.dim
-    bases, reach = _block_reach(_residue_action(lattice, gens, p), p, n, bounds)
+    return _action_layer(_residue_action(lattice, gens, p), p, lattice.dim, bounds)
+
+
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
+def _action_layer(action, p: int, n: int, bounds: Bounds):
+    """F_p keys (maximal, radical, moebius: interval member -> value) of F_p^n
+    under the action, read off `_block_reach` as the section comment describes.
+    L and p^a L share one, as H^-1 S H is unchanged when H is scaled.  A tripped
+    bound or a family without a semisimple word raises, which is never cached."""
+    bases, reach = _block_reach(action, p, n, bounds)
     spins = list(dict.fromkeys(reach))
     classes = [s for s in spins if not any(s < o for o in spins)]
     if n**3 * 2 ** len(classes) > bounds.spinning_max_order:
@@ -914,16 +915,16 @@ def enumerate_index_sublattices(
 def classify_sublattice(sub: LatticeBasis, n: int, p: int) -> tuple[int, int]:
     """Write a stable p-power-index sublattice of L(1) as p^a L(p^b).
 
-    `identify_stable_lattice` names the family member with sub = c L(d); the
-    scale c must be p^a and d must be p^b.  Failure to classify signals a bug
-    (or a non-stable input) and raises.
+    `identify_stable_lattice` names d with sub = c L(d), and c is the content of
+    the normal form, as L(d) has content 1; c must be p^a and d must be p^b.
+    Failure to classify signals a bug (or a non-stable input) and raises.
     """
     _require_prime(p)
     d = identify_stable_lattice(sub)
     if d is None:
         raise LatticeError("sublattice does not match any scaled representative")
-    c = is_scalar_multiple(craig_lattice(n, d).basis, sub)
-    a, b = valuation(c.numerator, p), valuation(d, p)
+    c = content(x for row in sub.hnf.entries for x in row)
+    a, b = valuation(c, p), valuation(d, p)
     if c != p**a or d != p**b:
         raise LatticeError("sublattice is not p^a L(p^b)")
     return (a, b)

@@ -371,9 +371,9 @@ def check_specht_identification(ns):
     bad = []
     for n in ns:
         a, b = specht.specht_generators_closed(n), specht.craig_generators(n)
-        if specht.closed_intertwiner(a, b) != specht.intertwiner(a, b):
+        closed, got = specht.identify_specht_lattice(a, b)
+        if closed != specht.intertwiner(a, b):
             bad.append((n, "closed intertwiner differs from the solve"))
-        got = specht.identify_specht_lattice(a, b)[1]
         if got != n + 1:
             bad.append((n, got))
     return not bad, f"failing: {bad}"

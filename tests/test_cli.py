@@ -137,6 +137,29 @@ class TestEnumerateCommand:
         )
         assert code == 2
 
+    def test_bounds_come_before_primality(self, capsys, monkeypatch):
+        # Trial division of a 19-digit prime takes minutes; the residue
+        # module F_p^3 prices far above the bound first, and with --oracle
+        # the census range refuses p^1 > 500 first.
+        def forbidden(*args):
+            raise AssertionError("enumerate trial-divided a refused prime")
+
+        monkeypatch.setattr(cli, "is_prime", forbidden)
+        argv = ["enumerate", "--n", "3", "--prime", "1000000000000000003", "--max-exp", "1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: spinning-scale-exceeded: residue module is too large\n"
+        code, out, err = run(capsys, *argv, "--oracle")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: enumeration-scale-exceeded")
+
+    @pytest.mark.parametrize("prime", ["0", "1", "-1"])
+    def test_oracle_rejects_units_and_zero_as_primes(self, capsys, prime):
+        # p^e never passes the census bound for these p, so primality decides.
+        argv = ["enumerate", "--n", "3", "--prime", prime, "--max-exp", "2", "--oracle"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: --prime must be a prime number\n")
+
     def test_oracle_scale_limit(self, capsys):
         code, _, err = run(
             capsys,
@@ -177,6 +200,45 @@ class TestIdentifyCommand:
         code, _, err = run(capsys, "identify", "--file", str(path), "--n", "2")
         assert code == 1
         assert "not stable" in err
+
+    @pytest.mark.parametrize(
+        "n, rows",
+        [
+            (2, craig_lattice(2, 2).basis.hnf.entries),
+            (3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ],
+    )
+    def test_unmatched_lattice_is_unstable(self, capsys, tmp_path, n, rows):
+        # L(2) at n = 2 and diag(2, 1, 1) at n = 3 are no r L(d) with d | n+1.
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"rows": n, "cols": n, "entries": [list(r) for r in rows]}))
+        code, out, err = run(capsys, "identify", "--file", str(path), "--n", str(n))
+        assert (code, out, err) == (1, "", "lattice is not stable under the action\n")
+
+    def test_identification_decides_stability(self, capsys, tmp_path, monkeypatch):
+        # Neither the dense stability pass nor the action in the lattice's
+        # basis is needed: matching r L(d) with d | n+1 proves stability.
+        def forbidden(*args):
+            raise AssertionError("identify ran a dense stability pass")
+
+        monkeypatch.setattr(craig, "is_g_stable", forbidden)
+        monkeypatch.setattr(craig, "action_in_basis", forbidden)
+        path = tmp_path / "basis.json"
+        for n, lat, want in (
+            (60, craig_lattice(60, 61).basis, "61"),
+            (4, craig_lattice(4, 1).basis.scale(6), "1"),
+        ):
+            path.write_text(json.dumps(matrix_to_json(lat.hnf)))
+            code, out, err = run(capsys, "identify", "--file", str(path), "--n", str(n))
+            assert (code, out, err) == (0, want + "\n", "")
+
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "identify", "--file", str(path), "--n", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_missing_file_exits_two(self, capsys, tmp_path):
         missing = tmp_path / "absent.json"

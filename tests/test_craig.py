@@ -647,7 +647,7 @@ class TestResidueSubmodules:
     def test_one_spin_serves_every_entry_point(self, monkeypatch):
         n, p = 7, 2
         lat, gens = craig_lattice(n, 2).basis, craig_generators(n)
-        craig._residue_layer.cache_clear()
+        craig._action_layer.cache_clear()
         graphs = []
         real = craig._block_reach
 
@@ -664,6 +664,38 @@ class TestResidueSubmodules:
         assert verify._interval_classes(lat, gens, p, DEFAULT_BOUNDS)[p**2] == [scaled(n, p, 0, 2)]
         assert sorted(mu_p(lat, gens, p, member) for member in members) == [-1, -1, 1, 1]
         assert graphs == []
+
+    def test_scaled_lattice_shares_the_layer(self, monkeypatch):
+        # p L(p^i) has the action of L(p^i) in its own basis, so its maximal
+        # sublattices are p times those of L(p^i), read off the same layer.
+        n, p = 7, 2
+        lat, gens = craig_lattice(n, 2).basis, craig_generators(n)
+        craig._action_layer.cache_clear()
+        graphs = []
+        real = craig._block_reach
+
+        def counted(*args):
+            graphs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(craig, "_block_reach", counted)
+        maximal = maximal_sublattices_p(lat, gens, p)
+        scaled_maximal = maximal_sublattices_p(lat.scale(p), gens, p)
+        assert len(graphs) == 1
+        assert sorted(m.key() for m in scaled_maximal) == sorted(
+            m.scale(p).key() for m in maximal
+        )
+
+    def test_walk_builds_one_layer_per_reduced_action(self, monkeypatch):
+        # The walk on L(1) at n = 8, p = 3 meets eight lattices p^a L(3^b) with
+        # an exponent left to walk, but only three actions mod 3: those of
+        # L(1), L(3) and L(9).  The memo-free walk is the oracle.
+        lat, gens = craig_lattice(8, 1).basis, craig_generators(8)
+        craig._action_layer.cache_clear()
+        found = enumerate_p_sublattices(lat, gens, 3, 24)
+        assert craig._action_layer.cache_info().misses == 3
+        monkeypatch.setattr(craig, "_action_layer", craig._action_layer.__wrapped__)
+        assert enumerate_p_sublattices(lat, gens, 3, 24) == found
 
     def test_clearing_a_result_leaves_later_calls_whole(self):
         lat, gens = craig_lattice(7, 2).basis, craig_generators(7)
