@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from math import gcd
 
+from .bounds import ScaleError
+
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Return (g, x, y) with g = gcd(a, b) and x*a + y*b = g, g >= 0."""
@@ -20,16 +22,35 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017); 318665857834031151167461 is a
+# strong pseudoprime to every prime base up to 37.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ScaleError at and above `_MR_LIMIT`."""
+    if n >= _MR_LIMIT:
+        raise ScaleError(f"prime-scale-exceeded: primality is decided below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

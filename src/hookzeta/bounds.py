@@ -16,7 +16,8 @@ class ScaleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Bounds:
-    # The tabloid expansion of a hook polytabloid has n! terms.
+    # The tabloid expansion of a hook polytabloid has n! terms; the Specht
+    # oracle of `verify` and `specht` (n terms per polytabloid) runs this far.
     polytabloid_max_n: int = 7
     # Largest sublattice index accepted by the exhaustive census.
     index_enumeration_max: int = 500

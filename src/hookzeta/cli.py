@@ -91,8 +91,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_enumerate(args) -> int:
     bounds = _bounds_from_args(args)
-    # The bounds come before is_prime, which trial-divides a 19-digit p for
-    # minutes; the oracle's loop ends only for p > 1.
+    # The bounds come before is_prime; the oracle's loop ends only for p > 1.
     if args.oracle and args.prime > 1:
         # top is the largest e with p^e within the bound; p^max_exp is never formed.
         top, power = -1, 1

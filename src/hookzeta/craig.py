@@ -578,7 +578,7 @@ def _lift_subspace(lattice: LatticeBasis, key, p: int) -> LatticeBasis:
     """The lattice between pL and L whose image mod p is the given subspace."""
     cols = [lattice.hnf.apply(row) for row in key]
     cols += [[p * x for x in lattice.hnf.column(j)] for j in range(lattice.dim)]
-    return LatticeBasis(hnf(IntMatrix.from_columns(cols)))
+    return LatticeBasis._from_hnf(hnf(IntMatrix.from_columns(cols)))
 
 
 def _sorted_lattices(lats) -> list[LatticeBasis]:

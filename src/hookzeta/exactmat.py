@@ -45,13 +45,23 @@ class IntMatrix:
         self.entries = data
 
     @classmethod
+    def _trusted(cls, data: tuple) -> "IntMatrix":
+        """Unchecked constructor for rows the library has just built: a nonempty
+        tuple of equal-length nonempty tuples of ints."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = len(data), len(data[0]), data
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @classmethod
     def from_columns(cls, columns) -> "IntMatrix":
         cols = [tuple(c) for c in columns]
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(len(cols[0]))))
+        if not cols or any(len(c) != len(cols[0]) for c in cols):
+            raise MatrixError("columns must be nonempty and of equal length")
+        return cls(tuple(zip(*cols)))
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
@@ -70,14 +80,11 @@ class IntMatrix:
             if self.cols != other.rows:
                 raise MatrixError("dimension mismatch in product")
             bt = tuple(zip(*other.entries))
-            return IntMatrix(
-                tuple(
-                    tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                    for row in self.entries
-                )
+            return IntMatrix._trusted(
+                tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in self.entries)
             )
         c = operator.index(other)
-        return IntMatrix(tuple(tuple(c * x for x in row) for row in self.entries))
+        return IntMatrix._trusted(tuple(tuple(c * x for x in row) for row in self.entries))
 
     __rmul__ = __mul__
 
@@ -95,20 +102,19 @@ class IntMatrix:
         v = tuple(vec)
         if len(v) != self.cols:
             raise MatrixError("dimension mismatch in matrix-vector product")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        return tuple(sum(map(operator.mul, row, v)) for row in self.entries)
 
 
-def _column_hnf(cols: list[list[int]], nrows: int) -> list[list[int]]:
-    """Reduce a list of column vectors to column-style HNF in place.
+def _column_hnf(cols: list[list[int]], first: int = 0) -> IntMatrix:
+    """Column-style HNF of the span of columns of a common length n.
 
-    Pivots come from the first nrows entries of each column; the entries past
-    nrows are tags that every column operation carries along, so a column
-    tagged with e_j records which combination of the input columns it is.
-    Uses only unimodular column operations, so the column span is preserved.
-    Returns cols.  Raises MatrixError("singular") when the columns do not span
-    a full-rank lattice in Z^nrows.
+    Reduces cols in place by unimodular column operations, so the column span
+    is preserved, and returns rows and columns first..n-1 of the normal form
+    (the columns before first are not reduced against later pivots).  Raises
+    MatrixError("singular") when the columns do not span a full-rank lattice
+    in Z^n.
     """
-    m = len(cols)
+    m, nrows = len(cols), len(cols[0])
     for i in range(nrows):
         if i >= m:
             raise MatrixError("singular")
@@ -123,7 +129,7 @@ def _column_hnf(cols: list[list[int]], nrows: int) -> list[list[int]]:
             g, x, y = xgcd(a, b)
             u, v = a // g, b // g
             ci, cj = cols[i], cols[j]
-            for r in range(i, len(ci)):
+            for r in range(i, nrows):
                 s, t = ci[r], cj[r]
                 ci[r] = x * s + y * t
                 cj[r] = u * t - v * s
@@ -134,13 +140,13 @@ def _column_hnf(cols: list[list[int]], nrows: int) -> list[list[int]]:
         if piv < 0:
             ci[i:] = [-x for x in ci[i:]]
             piv = -piv
-        for j in range(i):
+        for j in range(first, i):
             q = cols[j][i] // piv
             if q:
                 cj = cols[j]
-                for r in range(i, len(ci)):
+                for r in range(i, nrows):
                     cj[r] -= q * ci[r]
-    return cols
+    return IntMatrix._trusted(tuple(zip(*(c[first:] for c in cols[first:nrows]))))
 
 
 def hnf(m: IntMatrix) -> IntMatrix:
@@ -154,9 +160,7 @@ def hnf(m: IntMatrix) -> IntMatrix:
     """
     if m.rows > m.cols:
         raise MatrixError("singular")
-    cols = [list(m.column(j)) for j in range(m.cols)]
-    reduced = _column_hnf(cols, m.rows)
-    return IntMatrix(tuple(tuple(reduced[j][i] for j in range(m.rows)) for i in range(m.rows)))
+    return _column_hnf([list(c) for c in zip(*m.entries)])
 
 
 def solve_triangular(h: IntMatrix, vec) -> list[int] | None:
@@ -189,14 +193,16 @@ def solve_in_lattice(h: IntMatrix, m: IntMatrix) -> IntMatrix | None:
         if x is None:
             return None
         cols.append(x)
-    return IntMatrix.from_columns(cols)
+    return IntMatrix._trusted(tuple(zip(*cols)))
 
 
 class LatticeBasis:
     """A full-rank integer lattice, canonicalized by its Hermite normal form.
 
-    The original generating matrix is kept in `basis`; all comparisons go
-    through the cached `hnf`.
+    The generating matrix is kept in `basis`: the caller's matrix for a
+    lattice built by the constructor, and the normal form itself for lattices
+    built by sum, intersection and scale.  All comparisons go through the
+    cached `hnf`.
     """
 
     __slots__ = ("dim", "basis", "hnf")
@@ -212,6 +218,13 @@ class LatticeBasis:
         self.basis = basis
         self.hnf = h
 
+    @classmethod
+    def _from_hnf(cls, h: IntMatrix) -> "LatticeBasis":
+        """Unchecked constructor for a matrix already in Hermite normal form."""
+        lat = object.__new__(cls)
+        lat.dim, lat.basis, lat.hnf = h.rows, h, h
+        return lat
+
     def determinant(self) -> int:
         """Positive determinant (product of the normal-form pivots)."""
         d = 1
@@ -223,7 +236,10 @@ class LatticeBasis:
         return solve_triangular(self.hnf, vec) is not None
 
     def scale(self, c) -> "LatticeBasis":
-        """The lattice c * L for a positive rational c with c * L integral."""
+        """The lattice c * L for a positive rational c with c * L integral.
+
+        A positive multiple of a normal form is again one.
+        """
         c = Fraction(c)
         if c <= 0:
             raise LatticeError("scale factor must be positive")
@@ -237,7 +253,7 @@ class LatticeBasis:
                     raise LatticeError("scale does not produce an integral lattice")
                 new_row.append(y // den)
             scaled.append(tuple(new_row))
-        return LatticeBasis(IntMatrix(tuple(scaled)))
+        return LatticeBasis._from_hnf(IntMatrix._trusted(tuple(scaled)))
 
     def key(self) -> tuple:
         """Canonical sort/deduplication key: the flattened normal form."""
@@ -271,26 +287,24 @@ def lattice_sum(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
     """Smallest lattice containing both summands."""
     if a.dim != b.dim:
         raise MatrixError("dimension mismatch")
-    glued = IntMatrix(tuple(ra + rb for ra, rb in zip(a.hnf.entries, b.hnf.entries)))
-    return LatticeBasis(hnf(glued))
+    cols = [list(c) for m in (a.hnf, b.hnf) for c in zip(*m.entries)]
+    return LatticeBasis._from_hnf(_column_hnf(cols))
 
 
 def lattice_intersect(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
     """Largest lattice contained in both operands.
 
-    The columns (A e_j, e_j) and (B e_j, 0) reduce to column HNF with the
-    second halves as tags.  The first n columns become the HNF of [A | B];
-    the last n have a zero first half, so their tags x are the x parts of a
-    basis of the integer kernel {(x, y) : A x + B y = 0}, and the A x span the
-    intersection.
+    The columns (A e_j; A e_j) and (B e_j; 0) span a full-rank lattice M in
+    Z^2n.  In its column HNF the last n columns have a zero upper half, so they
+    span M meet (0 + Z^n) = {(0; A x) : A x in B}, and their lower halves are
+    already the HNF of the intersection.
     """
     if a.dim != b.dim:
         raise MatrixError("dimension mismatch")
     n = a.dim
-    cols = [list(a.hnf.column(j)) + [int(i == j) for i in range(n)] for j in range(n)]
-    cols += [list(b.hnf.column(j)) + [0] * n for j in range(n)]
-    kernel = _column_hnf(cols, n)[n:]
-    return LatticeBasis(IntMatrix.from_columns(a.hnf.apply(col[n:]) for col in kernel))
+    cols = [list(c) * 2 for c in zip(*a.hnf.entries)]
+    cols += [list(c) + [0] * n for c in zip(*b.hnf.entries)]
+    return LatticeBasis._from_hnf(_column_hnf(cols, n))
 
 
 def is_scalar_multiple(a: LatticeBasis, b: LatticeBasis) -> Fraction | None:

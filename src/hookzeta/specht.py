@@ -7,12 +7,12 @@ Two coordinate systems are constructed for the same module:
 * the Specht-basis coordinates, indexed by the n standard Young tableaux of
   shape (2, 1^(n-1)).
 
-The Specht action is available twice: a brute-force oracle that expands
-polytabloids into signed tabloid sums and solves exactly, and a closed
-combinatorial rule that must agree with the oracle before being trusted at
-sizes the oracle cannot reach.  A Schur intertwiner between the two
-realizations locates the Specht lattice among the stable lattices of the
-standard coordinates.  The intertwiner has a closed form
+The Specht action is available twice: an oracle from first principles, on
+polytabloids grouped by first-row pair (the n!-term `polytabloid` expansion is
+its test oracle), and a closed combinatorial rule that must agree with the
+oracle before being trusted at sizes the oracle is not run at.  A Schur
+intertwiner between the two realizations locates the Specht lattice among the
+stable lattices of the standard coordinates.  The intertwiner has a closed form
 (`closed_intertwiner`), whose defining equations are checked exactly on every
 call; the exact Fraction solve (`intertwiner`) stays as its oracle.
 """
@@ -123,20 +123,6 @@ def _make_tabloid(a: int, b: int, singles) -> Tabloid:
     return Tabloid(pair, tuple(singles))
 
 
-def _apply_adjacent(tab: Tabloid, k: int) -> Tabloid:
-    """Relabel a tabloid by the transposition (k k+1)."""
-
-    def sw(v: int) -> int:
-        if v == k:
-            return k + 1
-        if v == k + 1:
-            return k
-        return v
-
-    a, b = tab.row_pair
-    return _make_tabloid(sw(a), sw(b), (sw(v) for v in tab.singles))
-
-
 def _perm_sign(seq: tuple[int, ...]) -> int:
     """Sign of the permutation sending sorted(seq) to seq."""
     rank = {v: i for i, v in enumerate(sorted(seq))}
@@ -163,44 +149,51 @@ def polytabloid(tableau: HookTableau, bounds: Bounds = DEFAULT_BOUNDS) -> dict[T
     return out
 
 
-def _identity_tabloid(n: int, u: int) -> Tabloid:
-    """The tabloid of the untouched tableau T_u; it pins down e_{T_u}'s coefficient."""
-    singles = tuple(v for v in range(2, n + 2) if v != u)
-    return _make_tabloid(1, u, singles)
-
-
 def specht_generators_oracle(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> RepGenerators:
     """Specht-basis action computed from first principles.
 
-    Applies each transposition to the full tabloid expansion of every basis
-    polytabloid, reads off the basis coefficients (each e_{T_u} is the unique
-    basis vector supported on the identity tabloid of T_u), and verifies the
-    claimed combination reproduces the permuted expansion exactly.
+    The n! terms of e_{T_t} (see `polytabloid`) with first-row pair {x, t} are
+    all orderings of the other n - 1 entries, each signed by its permutation;
+    so e_{T_t} is held as one signed term per pair, a bit mask of {x, t} with
+    sign (-1)^(position of x in the first column).  s_k relabels the pair, and
+    flips the sign exactly when k and k+1 are both singles (they are adjacent
+    in every ordering's sort).  The coefficient of e_{T_u} is read off the pair
+    {1, u}, since e_{T_u} is the unique basis vector supported on the identity
+    tabloid of T_u, and the claimed combination must reproduce the moved
+    vector exactly.  Distinct pairs have disjoint tabloid supports, so the map
+    back to full expansions is injective and the check still decides.
     """
     if n < 2:
         raise ValueError("module dimension must be at least 2")
-    expansions = {u: polytabloid(HookTableau(n, u), bounds) for u in range(2, n + 2)}
-    anchors = {u: _identity_tabloid(n, u) for u in range(2, n + 2)}
+    if n > bounds.polytabloid_max_n:
+        raise ScaleError("oracle-scale-exceeded: n is above the polytabloid oracle bound")
+    labels = range(2, n + 2)
+    grouped = {
+        t: {1 << x | 1 << t: (-1) ** i for i, x in enumerate(HookTableau(n, t).first_column)}
+        for t in labels
+    }
     mats = []
     for k in range(1, n + 1):
+        swap = 3 << k
         columns = []
-        for t in range(2, n + 2):
-            moved: dict[Tabloid, int] = {}
-            for tab, c in expansions[t].items():
-                moved[_apply_adjacent(tab, k)] = c
-            coeffs = [moved.get(anchors[u], 0) for u in range(2, n + 2)]
+        for t in labels:
+            moved = {}
+            for mask, c in grouped[t].items():
+                hit = mask & swap
+                if hit == swap:
+                    moved[mask] = c
+                elif hit:
+                    moved[mask ^ swap] = c
+                else:
+                    moved[mask] = -c
+            coeffs = [moved.get(1 << 1 | 1 << u, 0) for u in labels]
             # exact consistency check of the solved combination
-            acc: dict[Tabloid, int] = {}
-            for x, u in zip(coeffs, range(2, n + 2)):
-                if x == 0:
-                    continue
-                for tab, c in expansions[u].items():
-                    val = acc.get(tab, 0) + x * c
-                    if val:
-                        acc[tab] = val
-                    elif tab in acc:
-                        del acc[tab]
-            if acc != moved:
+            acc: dict[int, int] = {}
+            for x, u in zip(coeffs, labels):
+                if x:
+                    for mask, c in grouped[u].items():
+                        acc[mask] = acc.get(mask, 0) + x * c
+            if {m: c for m, c in acc.items() if c} != moved:
                 raise LatticeError("polytabloid expansion is not a basis combination")
             columns.append(coeffs)
         mats.append(IntMatrix.from_columns(columns))

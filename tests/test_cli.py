@@ -138,11 +138,11 @@ class TestEnumerateCommand:
         assert code == 2
 
     def test_bounds_come_before_primality(self, capsys, monkeypatch):
-        # Trial division of a 19-digit prime takes minutes; the residue
-        # module F_p^3 prices far above the bound first, and with --oracle
-        # the census range refuses p^1 > 500 first.
+        # The residue module F_p^3 prices far above the bound before the
+        # primality test, and with --oracle the census range refuses p^1 > 500
+        # first.
         def forbidden(*args):
-            raise AssertionError("enumerate trial-divided a refused prime")
+            raise AssertionError("enumerate tested the primality of a refused prime")
 
         monkeypatch.setattr(cli, "is_prime", forbidden)
         argv = ["enumerate", "--n", "3", "--prime", "1000000000000000003", "--max-exp", "1"]
@@ -152,6 +152,19 @@ class TestEnumerateCommand:
         code, out, err = run(capsys, *argv, "--oracle")
         assert (code, out) == (2, "")
         assert err.startswith("error: enumeration-scale-exceeded")
+
+    def test_huge_prime_at_exponent_zero(self, capsys):
+        # No bound applies at --max-exp 0, so the primality test itself must be fast.
+        argv = ["enumerate", "--n", "3", "--prime", "1000000000000000003", "--max-exp", "0"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {"counts": {"0": 1}, "p": 1000000000000000003}
+
+    def test_prime_past_the_deterministic_range(self, capsys):
+        argv = ["enumerate", "--n", "3", "--prime", "3317044064679887385961981", "--max-exp", "0"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: prime-scale-exceeded")
 
     @pytest.mark.parametrize("prime", ["0", "1", "-1"])
     def test_oracle_rejects_units_and_zero_as_primes(self, capsys, prime):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -78,6 +78,15 @@ class TestIntMatrix:
     def test_apply(self):
         a = IntMatrix([[1, 2], [3, 4]])
         assert a.apply((1, 1)) == (3, 7)
+
+    def test_from_columns(self):
+        assert IntMatrix.from_columns([(1, 3), [2, 4]]) == IntMatrix([[1, 2], [3, 4]])
+
+    @pytest.mark.parametrize("columns", [[], [[1, 2], [3]], [[1], [2, 3]], [[], []]])
+    def test_from_columns_rejects_bad_shapes(self, columns):
+        # zip(*columns) alone would truncate ragged columns silently
+        with pytest.raises(MatrixError):
+            IntMatrix.from_columns(columns)
 
     def test_json_roundtrip_big_entries(self):
         a = IntMatrix([[10**30, -1], [0, 2]])
@@ -317,3 +326,188 @@ class TestScalarMultiple:
     def test_rational_ratio(self):
         z2 = LatticeBasis(IntMatrix.identity(2))
         assert is_scalar_multiple(z2.scale(2), z2.scale(3)) == Fraction(3, 2)
+
+
+def random_lattice(rng, n, lo=-4, hi=4):
+    """A seeded full-rank lattice; singular draws are redrawn."""
+    while True:
+        try:
+            rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+            return LatticeBasis(IntMatrix(rows))
+        except LatticeError:
+            pass
+
+
+def tag_intersect(a, b):
+    """Intersection by the earlier two-step algorithm, kept as the oracle.
+
+    The columns (A e_j, e_j) and (B e_j, 0) are brought to column echelon form
+    on their first n entries by Euclid's column steps, carrying the last n
+    entries as tags.  The last n columns then have a zero first half, so their
+    tags x span the x parts of the integer kernel of [A | B], and the A x span
+    the intersection, which the public constructor normalizes.
+    """
+    n = a.dim
+    cols = [list(a.hnf.column(j)) + [int(i == j) for i in range(n)] for j in range(n)]
+    cols += [list(b.hnf.column(j)) + [0] * n for j in range(n)]
+    for i in range(n):
+        for j in range(i + 1, 2 * n):
+            while cols[j][i]:
+                q = cols[i][i] // cols[j][i]
+                cols[i] = [x - q * y for x, y in zip(cols[i], cols[j])]
+                cols[i], cols[j] = cols[j], cols[i]
+    assert all(not any(c[:n]) for c in cols[n:])
+    return LatticeBasis(IntMatrix.from_columns(a.hnf.apply(c[n:]) for c in cols[n:]))
+
+
+class TestIntersectionOracle:
+    def test_seeded_grid_matches_the_tag_algorithm(self):
+        rng = random.Random(41)
+        for _ in range(1200):
+            n = rng.randint(1, 8)
+            a, b = random_lattice(rng, n), random_lattice(rng, n)
+            assert lattice_intersect(a, b) == tag_intersect(a, b)
+
+    def test_scaled_families_match_the_tag_algorithm(self):
+        for n in (2, 3, 5, 7):
+            family = [
+                craig_lattice(n, d).basis.scale(s)
+                for d in (1, 2, 4, n + 1)
+                for s in (1, 2, 6)
+                if (n + 1) % d == 0
+            ]
+            for a, b in product(family, repeat=2):
+                meet = lattice_intersect(a, b)
+                assert meet == tag_intersect(a, b)
+                assert meet.basis == meet.hnf == hnf(meet.hnf)
+
+    def test_results_are_their_own_normal_form(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            n = rng.randint(2, 6)
+            a, b = random_lattice(rng, n), random_lattice(rng, n)
+            for lat in (lattice_sum(a, b), lattice_intersect(a, b), a.scale(Fraction(6, 1))):
+                assert lat.basis == lat.hnf == LatticeBasis(lat.basis).hnf
+                assert all(isinstance(x, int) for row in lat.hnf.entries for x in row)
+
+
+def _hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    return hyp, hyp.strategies
+
+
+def _matrices(st, n, lo=-6, hi=6):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _lattices(st, n):
+    """Strategy for full-rank lattices of dimension n; singular draws are dropped."""
+
+    def build(rows):
+        try:
+            return LatticeBasis(IntMatrix(rows))
+        except LatticeError:
+            return None
+
+    return _matrices(st, n).map(build).filter(lambda lat: lat is not None)
+
+
+def _unimodular(st, n):
+    """Products of elementary column operations, then an optional column negation."""
+
+    def build(args):
+        steps, flip = args
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i, j, c in steps:
+            if i != j:
+                for row in rows:
+                    row[j] += c * row[i]
+        if flip >= 0:
+            for row in rows:
+                row[flip] = -row[flip]
+        return IntMatrix(rows)
+
+    step = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    return st.tuples(st.lists(step, max_size=12), st.integers(-1, n - 1)).map(build)
+
+
+def _lower_factor(st, n):
+    """A lower-triangular integer matrix with diagonal entries 1..3."""
+
+    def build(e):
+        return IntMatrix(
+            [[max(e[i][i], 1) if j == i else e[i][j] * (j < i) for j in range(n)] for i in range(n)]
+        )
+
+    return _matrices(st, n, 0, 3).map(build)
+
+
+PROPERTY_SETTINGS = {"derandomize": True, "database": None, "max_examples": 60, "deadline": None}
+
+
+def _sized(st, case):
+    return st.integers(1, 5).flatmap(case)
+
+
+class TestProperties:
+    def test_hnf_idempotent_and_unimodular_invariant(self):
+        hyp, st = _hypothesis()
+
+        @hyp.settings(**PROPERTY_SETTINGS)
+        @hyp.given(_sized(st, lambda n: st.tuples(_lattices(st, n), _unimodular(st, n))))
+        def prop(case):
+            lat, u = case
+            assert hnf(lat.hnf) == lat.hnf
+            assert hnf(lat.basis * u) == lat.hnf
+
+        prop()
+
+    def test_index_multiplicative_along_chains(self):
+        hyp, st = _hypothesis()
+
+        def chain(n):
+            return st.tuples(_lattices(st, n), _lower_factor(st, n), _lower_factor(st, n))
+
+        @hyp.settings(**PROPERTY_SETTINGS)
+        @hyp.given(_sized(st, chain))
+        def prop(case):
+            a, f, g = case
+            b = LatticeBasis(a.basis * f)
+            c = LatticeBasis(b.basis * g)
+            assert lattice_index(a, c) == lattice_index(a, b) * lattice_index(b, c)
+
+        prop()
+
+    def test_absorption_and_the_tag_oracle(self):
+        hyp, st = _hypothesis()
+
+        @hyp.settings(**PROPERTY_SETTINGS)
+        @hyp.given(_sized(st, lambda n: st.tuples(_lattices(st, n), _lattices(st, n))))
+        def prop(case):
+            a, b = case
+            meet, join = lattice_intersect(a, b), lattice_sum(a, b)
+            assert meet == tag_intersect(a, b)
+            assert lattice_sum(a, meet) == a
+            assert lattice_intersect(a, join) == a
+            assert lattice_index(a, meet) == lattice_index(join, b)
+
+        prop()
+
+    def test_hnf_matches_sympy(self):
+        hyp, st = _hypothesis()
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        @hyp.settings(**PROPERTY_SETTINGS)
+        @hyp.given(_sized(st, lambda n: _lattices(st, n)))
+        def prop(lat):
+            # sympy's form is upper triangular with each row reduced right of
+            # its pivot: reversing the rows of the input and both the rows and
+            # the columns of the output maps it onto ours.
+            n = lat.dim
+            theirs = hermite_normal_form(sympy.Matrix(lat.basis.entries[::-1]))
+            assert [[int(theirs[n - 1 - i, n - 1 - j]) for j in range(n)] for i in range(n)] == [
+                list(row) for row in lat.hnf.entries
+            ]
+
+        prop()

@@ -116,6 +116,63 @@ class TestSpechtOracle:
             assert verify_coxeter(specht_generators_oracle(n))
 
 
+def _tabloid(a, b, singles):
+    return Tabloid((min(a, b), max(a, b)), tuple(singles))
+
+
+def _apply_adjacent(tab, k):
+    """Relabel a tabloid by the transposition (k k+1)."""
+
+    def sw(v):
+        return {k: k + 1, k + 1: k}.get(v, v)
+
+    a, b = tab.row_pair
+    return _tabloid(sw(a), sw(b), (sw(v) for v in tab.singles))
+
+
+def full_expansion_oracle(n):
+    """The Specht action read off the full n!-term tabloid expansions.
+
+    Applies each transposition to the expansion of every basis polytabloid,
+    reads the coefficient of e_{T_u} off the identity tabloid of T_u (pair
+    {1, u}, singles increasing), and checks that the combination reproduces
+    the permuted expansion exactly.
+    """
+    labels = range(2, n + 2)
+    expansions = {u: polytabloid(HookTableau(n, u)) for u in labels}
+    anchors = {u: _tabloid(1, u, (v for v in range(2, n + 2) if v != u)) for u in labels}
+    mats = []
+    for k in range(1, n + 1):
+        columns = []
+        for t in labels:
+            moved = {_apply_adjacent(tab, k): c for tab, c in expansions[t].items()}
+            coeffs = [moved.get(anchors[u], 0) for u in labels]
+            acc = {}
+            for x, u in zip(coeffs, labels):
+                if x:
+                    for tab, c in expansions[u].items():
+                        acc[tab] = acc.get(tab, 0) + x * c
+            assert {tab: c for tab, c in acc.items() if c} == moved
+            columns.append(coeffs)
+        mats.append(IntMatrix.from_columns(columns))
+    return RepGenerators(n, tuple(mats))
+
+
+class TestGroupedOracle:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_equals_the_full_expansion(self, n):
+        assert specht_generators_oracle(n).mats == full_expansion_oracle(n).mats
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_equals_the_closed_rule(self, n):
+        oracle = specht_generators_oracle(n, Bounds(polytabloid_max_n=32))
+        assert oracle.mats == specht_generators_closed(n).mats
+
+    def test_reach_is_the_oracle_bound(self):
+        with pytest.raises(ScaleError, match="oracle-scale-exceeded"):
+            specht_generators_oracle(8, Bounds(polytabloid_max_n=7))
+
+
 class TestSpechtClosedForm:
     def test_matches_oracle(self):
         for n in range(2, 7):
