@@ -16,8 +16,9 @@ class ScaleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Bounds:
-    # The tabloid expansion of a hook polytabloid has n! terms; the Specht
-    # oracle of `verify` and `specht` (n terms per polytabloid) runs this far.
+    # Largest n at which `verify` and `specht` check the Specht action against
+    # the polytabloid oracle (n terms per polytabloid), and largest n of the
+    # n!-term `polytabloid` expansion.
     polytabloid_max_n: int = 7
     # Largest sublattice index accepted by the exhaustive census.
     index_enumeration_max: int = 500

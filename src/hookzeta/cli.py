@@ -25,7 +25,12 @@ from .exactmat import LatticeBasis, LatticeError, matrix_from_json, matrix_to_js
 
 # Each override flag, the `Bounds` field it sets, and what that field bounds.
 _BOUND_FLAGS = (
-    ("--bound-oracle-n", "polytabloid_max_n", "largest n of the n!-term polytabloid oracle"),
+    (
+        "--bound-oracle-n",
+        "polytabloid_max_n",
+        "largest n at which verify and specht check the Specht action against the"
+        " polytabloid oracle, and largest n of the n!-term polytabloid expansion",
+    ),
     ("--bound-index", "index_enumeration_max", "largest index m of the exhaustive census"),
     (
         "--bound-spin",

@@ -912,7 +912,7 @@ def enumerate_index_sublattices(
     return _sorted_lattices(found)
 
 
-def classify_sublattice(sub: LatticeBasis, n: int, p: int) -> tuple[int, int]:
+def classify_sublattice(sub: LatticeBasis, p: int) -> tuple[int, int]:
     """Write a stable p-power-index sublattice of L(1) as p^a L(p^b).
 
     `identify_stable_lattice` names d with sub = c L(d), and c is the content of

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,30 @@ class TestEnumerateCommand:
         blob = json.loads(out)
         assert [blob["counts"][str(e)] for e in range(7)] == [1, 0, 1, 1, 1, 1, 1]
 
+    def test_with_lattices_lists_the_scaled_representatives(self, capsys):
+        # At n = 2, p = 3 the index-3^e sublattice of L(1) is 3^a L(3^b), 2a + b = e.
+        code, out, _ = run(
+            capsys, "enumerate", "--n", "2", "--prime", "3", "--max-exp", "4", "--with-lattices"
+        )
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["counts"] == {str(e): 1 for e in range(5)}
+        assert blob["lattices"] == {
+            str(2 * a + b): [
+                matrix_to_json(craig.scaled_lattice_basis(2, craig.ScaledCraigLattice(3, a, b)).hnf)
+            ]
+            for a in range(3)
+            for b in range(2)
+            if 2 * a + b <= 4
+        }
+
+    def test_oracle_mismatch_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(craig, "enumerate_index_sublattices", lambda *args: [])
+        code, out, err = run(
+            capsys, "enumerate", "--n", "2", "--prime", "3", "--max-exp", "2", "--oracle"
+        )
+        assert (code, out, err) == (1, "", "mismatch between walk and census at exponent 0\n")
+
     def test_inert_prime(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--n", "4", "--d", "1", "--prime", "2", "--max-exp", "4"
@@ -198,6 +223,19 @@ class TestIdentifyCommand:
         code, out, _ = run(capsys, "identify", "--file", str(path), "--n", "2")
         assert code == 0
         assert out.strip() == "3"
+
+    def test_json_format(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(matrix_to_json(craig_lattice(2, 3).basis.scale(7).hnf)))
+        code, out, _ = run(capsys, "identify", "--file", str(path), "--n", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"n": 2, "d": 3}
+
+    def test_dimension_differing_from_n_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(matrix_to_json(craig_lattice(2, 3).basis.hnf)))
+        code, out, err = run(capsys, "identify", "--file", str(path), "--n", "3")
+        assert (code, out, err) == (2, "", "error: basis dimension does not match --n\n")
 
     def test_identity_basis(self, capsys, tmp_path):
         path = tmp_path / "basis.json"
@@ -319,6 +357,27 @@ class TestSpechtCommand:
         assert code == 0
         assert json.loads(out)["d"] == 7
 
+    def test_text_format(self, capsys):
+        code, out, _ = run(capsys, "specht", "--n", "2", "--format", "text")
+        assert code == 0
+        assert out == (
+            "d = 3\n"
+            "s_1: [[1, 0], [-1, -1]]\n"
+            "s_2: [[0, 1], [1, 0]]\n"
+            "intertwiner: [[1, -1], [1, 2]]\n"
+        )
+
+    def test_oracle_mismatch_exits_one(self, capsys, monkeypatch):
+        real = specht.specht_generators_oracle
+
+        def swapped(n, bounds):
+            gens = real(n, bounds)
+            return specht.RepGenerators(n, gens.mats[::-1])
+
+        monkeypatch.setattr(specht, "specht_generators_oracle", swapped)
+        code, out, err = run(capsys, "specht", "--n", "3")
+        assert (code, out, err) == (1, "", "closed Specht action disagrees with the oracle\n")
+
     def test_wrong_closed_family_exits_one(self, capsys, monkeypatch):
         # n = 8 is above the oracle bound, so only the intertwiner check
         # stands between a wrong closed rule and the output
@@ -413,6 +472,11 @@ class TestVerifyCommand:
         report = json.loads(out)
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert any("Coxeter" in name for name in failed)
+
+        code, out, _ = run(capsys, "verify", "--n-max", "2")
+        assert code == 1
+        assert "[FAIL] Coxeter relations (standard coordinates): failing n: [2]\n" in out
+        assert out.endswith("overall: FAIL\n")
 
 
 class TestBoundOverrides:
@@ -589,6 +653,28 @@ class TestBoundOverrides:
         assert out == ""
         assert err.startswith("error: spinning-scale-exceeded")
         assert "Traceback" not in err
+
+    def test_verify_refuses_its_grid_before_any_check(self, capsys, monkeypatch):
+        # Under the default bounds the residue module at (28, 29) is too large;
+        # the refusal comes before the first check, not after minutes of them.
+        from hookzeta import verify as verify_mod
+
+        def forbidden(*args):
+            raise AssertionError("a check ran before the refusal")
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("verify --n-max 40 did not refuse within 5 s")
+
+        monkeypatch.setattr(verify_mod, "check_coxeter_standard", forbidden)
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.alarm(5)
+        try:
+            code, out, err = run(capsys, "verify", "--n-max", "40")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (2, "")
+        assert err == "error: spinning-scale-exceeded: residue module is too large\n"
 
 
 class TestDeterminism:

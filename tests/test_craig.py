@@ -800,7 +800,7 @@ class TestPrimeValidation:
             lambda: phi_p(lat, gens, 4),
             lambda: mu_p(lat, gens, 4, lat),
             lambda: enumerate_p_sublattices(lat, gens, 4, 0),
-            lambda: classify_sublattice(lat, 3, 4),
+            lambda: classify_sublattice(lat, 4),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="prime"):
@@ -889,19 +889,19 @@ class TestSumDecomposition:
 
 class TestClassify:
     def test_examples(self):
-        assert classify_sublattice(craig_lattice(2, 1).basis.scale(3), 2, 3) == (1, 0)
-        assert classify_sublattice(craig_lattice(2, 3).basis, 2, 3) == (0, 1)
-        assert classify_sublattice(craig_lattice(3, 2).basis.scale(2), 3, 2) == (1, 1)
+        assert classify_sublattice(craig_lattice(2, 1).basis.scale(3), 3) == (1, 0)
+        assert classify_sublattice(craig_lattice(2, 3).basis, 3) == (0, 1)
+        assert classify_sublattice(craig_lattice(3, 2).basis.scale(2), 2) == (1, 1)
 
     def test_unclassifiable_rejected(self):
         # an unstable sublattice of 2-power index does not match the family
         with pytest.raises(LatticeError):
-            classify_sublattice(LatticeBasis(IntMatrix([[2, 0], [0, 1]])), 2, 2)
+            classify_sublattice(LatticeBasis(IntMatrix([[2, 0], [0, 1]])), 2)
 
     def test_scale_not_a_power_of_p_rejected(self):
         # 3 L(2) is a stable family member, but 3 is not a power of 2
         with pytest.raises(LatticeError):
-            classify_sublattice(craig_lattice(3, 2).basis.scale(3), 3, 2)
+            classify_sublattice(craig_lattice(3, 2).basis.scale(3), 2)
 
 
 class TestIdentifyStableLattice:
