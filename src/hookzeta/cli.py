@@ -6,7 +6,8 @@ that closed standard output early), 2 bad or unreadable input, or a
 computation above a configured bound (`--bound-*`; `specht --n` above
 `--bound-specht-n`, `coeffs --limit` above `--bound-coeffs-limit` and
 `enumerate --max-exp` above `--bound-max-exp`, or at least 1 with a residue
-module above `--bound-spin`, stop before any work).
+module above `--bound-spin`, and `verify` with a residue module of its grid
+above `--bound-spin`, stop before any work).
 """
 
 from __future__ import annotations

@@ -473,9 +473,14 @@ class TestVerifyCommand:
         failed = [c["name"] for c in report["checks"] if not c["passed"]]
         assert any("Coxeter" in name for name in failed)
 
+    def test_text_output_gives_the_failing_detail(self, capsys, monkeypatch):
+        from hookzeta import verify as verify_mod
+
+        monkeypatch.setattr(verify_mod.specht, "verify_coxeter", lambda gens: gens.n != 2)
         code, out, _ = run(capsys, "verify", "--n-max", "2")
         assert code == 1
         assert "[FAIL] Coxeter relations (standard coordinates): failing n: [2]\n" in out
+        assert "[pass] transposition character equals 2 - n\n" in out
         assert out.endswith("overall: FAIL\n")
 
 
