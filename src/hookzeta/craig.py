@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import product
+from itertools import compress, product
 from math import gcd
 from types import MappingProxyType
 
@@ -607,12 +607,13 @@ def _action_layer(action, p: int, n: int, bounds: Bounds):
     def join(sets):
         return _echelon([v for b in sorted(below.union(*sets)) for v in bases[b]], p)
 
-    radical = join(())
-    maximal = tuple(join(c for c in classes if c != out) for out in classes)
-    moebius = {
-        join(c for c, kept in zip(classes, keep) if kept): (-1) ** keep.count(False)
-        for keep in product((False, True), repeat=len(classes))
-    }
+    # Each interval member is keyed once, by the top classes it keeps: the
+    # radical keeps none and each maximal key keeps all but one.
+    t = len(classes)
+    members = {keep: join(compress(classes, keep)) for keep in product((False, True), repeat=t)}
+    radical = members[(False,) * t]
+    maximal = tuple(members[tuple(j != out for j in range(t))] for out in range(t))
+    moebius = {key: (-1) ** keep.count(False) for keep, key in members.items()}
     return maximal, radical, MappingProxyType(moebius)
 
 

@@ -1,6 +1,7 @@
 import pytest
 
-from hookzeta.arith import is_prime
+from hookzeta import cli
+from hookzeta.arith import is_prime, prime_factorization
 from hookzeta.bounds import ScaleError
 
 MR_LIMIT = 3317044064679887385961981
@@ -68,3 +69,53 @@ def test_large_composites_by_their_factors():
 def test_refuses_above_the_deterministic_range(n):
     with pytest.raises(ScaleError, match="prime-scale-exceeded"):
         is_prime(n)
+
+
+def trial_factorization(n):
+    """Prime -> multiplicity by trial division, the oracle of the factorizer."""
+    out, f = {}, 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorization_matches_trial_division_up_to_1e5():
+    assert [n for n in range(1, 100_001) if prime_factorization(n) != trial_factorization(n)] == []
+
+
+
+def test_factorization_matches_trial_division_across_the_primality_shortcut():
+    # Cofactors above 2^24 are first tested by Miller-Rabin.
+    span = range(2**24 - 100, 2**24 + 400)
+    assert [n for n in span if prime_factorization(n) != trial_factorization(n)] == []
+
+
+P18 = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (P18, {P18: 1}),
+        (6 * P18, {2: 1, 3: 1, P18: 1}),
+        (2**100, {2: 100}),
+        (3**5 * 1000003 * (2**61 - 1), {3: 5, 1000003: 1, 2**61 - 1: 1}),
+    ],
+)
+def test_factorization_stops_at_a_prime_cofactor(n, factors, time_limit):
+    with time_limit(5):
+        assert prime_factorization(n) == factors
+
+
+def test_zeta_of_a_huge_prime_n_plus_one(capsys, time_limit):
+    with time_limit(5):
+        code = cli.main(["zeta", "--n", str(P18 - 1), "--d", "1"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "zeta_Q(1000000000000000002s) * (1 + (1000000000000000003^1000000000000000001)^(-s))\n"
+    )

@@ -1,7 +1,7 @@
 import dataclasses
 import json
 import os
-import signal
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +12,7 @@ import pytest
 from hookzeta import cli, craig, specht, zeta
 from hookzeta.bounds import DEFAULT_BOUNDS, Bounds
 from hookzeta.craig import craig_lattice
-from hookzeta.exactmat import matrix_to_json
+from hookzeta.exactmat import IntMatrix, matrix_to_json
 from hookzeta.specht import craig_generators
 from hookzeta.zeta import dirichlet_coeff, dirichlet_coeffs, global_zeta
 
@@ -282,6 +282,31 @@ class TestIdentifyCommand:
             path.write_text(json.dumps(matrix_to_json(lat.hnf)))
             code, out, err = run(capsys, "identify", "--file", str(path), "--n", str(n))
             assert (code, out, err) == (0, want + "\n", "")
+
+    def test_dense_unstable_basis_at_64(self, capsys, tmp_path, time_limit):
+        rng = random.Random(1)
+        dense = IntMatrix([[rng.randint(-6, 6) for _ in range(64)] for _ in range(64)])
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(matrix_to_json(dense)))
+        with time_limit(5):
+            code, out, err = run(capsys, "identify", "--file", str(path), "--n", "64")
+        assert (code, out) == (1, "")
+        assert "not stable" in err
+
+    def test_dense_basis_of_a_scaled_lattice_at_64(self, capsys, tmp_path, time_limit):
+        # 3 L(5) at n = 64, hidden by 400 seeded elementary column operations.
+        rng = random.Random(1)
+        rows = [list(r) for r in craig_lattice(64, 5).basis.scale(3).hnf.entries]
+        for _ in range(400):
+            i, j = rng.sample(range(64), 2)
+            c = rng.choice([-3, -2, -1, 1, 2, 3])
+            for r in rows:
+                r[j] += c * r[i]
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(matrix_to_json(IntMatrix(rows))))
+        with time_limit(5):
+            code, out, err = run(capsys, "identify", "--file", str(path), "--n", "64")
+        assert (code, out, err) == (0, "5\n", "")
 
     def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "basis.json"
@@ -659,7 +684,7 @@ class TestBoundOverrides:
         assert err.startswith("error: spinning-scale-exceeded")
         assert "Traceback" not in err
 
-    def test_verify_refuses_its_grid_before_any_check(self, capsys, monkeypatch):
+    def test_verify_refuses_its_grid_before_any_check(self, capsys, monkeypatch, time_limit):
         # Under the default bounds the residue module at (28, 29) is too large;
         # the refusal comes before the first check, not after minutes of them.
         from hookzeta import verify as verify_mod
@@ -667,17 +692,9 @@ class TestBoundOverrides:
         def forbidden(*args):
             raise AssertionError("a check ran before the refusal")
 
-        def out_of_time(signum, frame):
-            raise TimeoutError("verify --n-max 40 did not refuse within 5 s")
-
         monkeypatch.setattr(verify_mod, "check_coxeter_standard", forbidden)
-        previous = signal.signal(signal.SIGALRM, out_of_time)
-        signal.alarm(5)
-        try:
+        with time_limit(5):
             code, out, err = run(capsys, "verify", "--n-max", "40")
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert (code, out) == (2, "")
         assert err == "error: spinning-scale-exceeded: residue module is too large\n"
 

@@ -18,6 +18,7 @@ from hookzeta.exactmat import (
     lattice_sum,
     matrix_from_json,
     matrix_to_json,
+    solve_triangular,
 )
 
 
@@ -172,6 +173,76 @@ class TestHnf:
     def test_singular_rejected(self):
         with pytest.raises(MatrixError, match="singular"):
             hnf(IntMatrix([[1, 2], [2, 4]]))
+
+
+def bareiss_det(m):
+    """Fraction-free Bareiss elimination: the determinant with exact division."""
+    a = [list(row) for row in m.entries]
+    n, sign, prev = m.rows, 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def dense_square(rng, n):
+    return IntMatrix([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+
+
+def seeded_square_grid():
+    """300 small matrices (n = 1..8) and dense ones at n = 36, 48, 64."""
+    rng = random.Random(23)
+    for _ in range(300):
+        yield dense_square(rng, rng.randint(1, 8))
+    for n in (36, 48, 64):
+        for seed in (1, 2, 3):
+            yield dense_square(random.Random(seed), n)
+
+
+class TestHnfSeededGrid:
+    def test_bareiss_matches_leibniz(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            n = rng.randint(1, 5)
+            m = IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            assert bareiss_det(m) == leibniz_det(m)
+
+    def test_shape_span_and_determinant_pin_the_form(self, time_limit):
+        # A lower-triangular H with positive pivots and each entry left of a
+        # pivot in [0, pivot) is the normal form of M exactly when M's columns
+        # lie in H's span and the two determinants agree in absolute value.
+        with time_limit(30):
+            for m in seeded_square_grid():
+                det = bareiss_det(m)
+                if det == 0:
+                    with pytest.raises(MatrixError, match="singular"):
+                        hnf(m)
+                    continue
+                h = hnf(m)
+                n = m.rows
+                for i in range(n):
+                    assert h[i, i] > 0
+                    assert all(h[i, j] == 0 for j in range(i + 1, n))
+                    assert all(0 <= h[i, j] < h[i, i] for j in range(i))
+                assert all(solve_triangular(h, m.column(j)) is not None for j in range(n))
+                diag = 1
+                for i in range(n):
+                    diag *= h[i, i]
+                assert diag == abs(det)
+
+    def test_dense_64_within_the_time_limit(self, time_limit):
+        m = dense_square(random.Random(1), 64)
+        with time_limit(5):
+            h = hnf(m)
+        assert h.rows == 64
 
 
 class TestLatticeBasis:
