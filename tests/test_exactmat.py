@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -233,10 +234,7 @@ class TestHnfSeededGrid:
                     assert all(h[i, j] == 0 for j in range(i + 1, n))
                     assert all(0 <= h[i, j] < h[i, i] for j in range(i))
                 assert all(solve_triangular(h, m.column(j)) is not None for j in range(n))
-                diag = 1
-                for i in range(n):
-                    diag *= h[i, i]
-                assert diag == abs(det)
+                assert prod(h[i, i] for i in range(n)) == abs(det)
 
     def test_dense_64_within_the_time_limit(self, time_limit):
         m = dense_square(random.Random(1), 64)
