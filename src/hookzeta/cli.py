@@ -145,11 +145,13 @@ def cmd_identify(args) -> int:
     try:
         # json.load raises RecursionError on deeply nested input.
         with open(args.file, "r", encoding="utf-8") as fh:
-            lat = LatticeBasis(matrix_from_json(json.load(fh)))
+            basis = matrix_from_json(json.load(fh))
+        # Refused before the normal form, which can cost far more than the read.
+        if basis.rows == basis.cols != args.n:
+            raise ValueError("basis dimension does not match --n")
+        lat = LatticeBasis(basis)
     except (LatticeError, RecursionError) as exc:
         raise ValueError(str(exc)) from None
-    if lat.dim != args.n:
-        raise ValueError("basis dimension does not match --n")
     # By Craig-Plesken every stable lattice is r L(d) with d | n+1, so None means unstable.
     d = craig.identify_stable_lattice(lat)
     if d is None:

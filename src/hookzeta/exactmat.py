@@ -26,6 +26,18 @@ class LatticeError(ValueError):
     """Invalid lattice operation: singular basis, failed inclusion, bad scale."""
 
 
+def _nonzeros(vec) -> list[tuple[int, int]]:
+    return [(l, x) for l, x in enumerate(vec) if x]
+
+
+def _combine(terms, vectors, n: int) -> list[int]:
+    """The sum of x * vectors[l] over the (l, x) pairs in terms."""
+    out = [0] * n
+    for l, x in terms:
+        out = [o + x * y for o, y in zip(out, vectors[l])]
+    return out
+
+
 class IntMatrix:
     """Immutable row-major matrix with arbitrary-precision integer entries."""
 
@@ -77,9 +89,11 @@ class IntMatrix:
         if isinstance(other, IntMatrix):
             if self.cols != other.rows:
                 raise MatrixError("dimension mismatch in product")
-            bt = tuple(zip(*other.entries))
+            # Row i of the product combines the rows of other where row i of
+            # self is nonzero: a generator, -I plus one short row, costs n^2.
+            rows, width = other.entries, other.cols
             return IntMatrix._trusted(
-                tuple(tuple(sum(map(operator.mul, row, col)) for col in bt) for row in self.entries)
+                tuple(tuple(_combine(_nonzeros(row), rows, width)) for row in self.entries)
             )
         c = operator.index(other)
         return IntMatrix._trusted(tuple(tuple(c * x for x in row) for row in self.entries))

@@ -14,7 +14,7 @@ oracle before being trusted at sizes the oracle is not run at.  A Schur
 intertwiner between the two realizations locates the Specht lattice among the
 stable lattices of the standard coordinates.  The intertwiner has a closed form
 (`closed_intertwiner`), whose defining equations are checked exactly on every
-call; the exact Fraction solve (`intertwiner`) stays as its oracle.
+call; the exact sparse solve over Q (`intertwiner`) stays as its oracle.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 from . import craig
 from .arith import content
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
-from .exactmat import IntMatrix, LatticeBasis, LatticeError
+from .exactmat import IntMatrix, LatticeBasis, LatticeError, _combine, _nonzeros
 
 
 @dataclass(frozen=True)
@@ -234,38 +234,10 @@ def specht_generators_closed(n: int) -> RepGenerators:
     return RepGenerators(n, tuple(mats))
 
 
-def _nullspace_dim_one(rows: list[list[int]], width: int) -> list[Fraction]:
-    """Solve a homogeneous integer system with one-dimensional solution space.
-
-    Online integer row echelon (rows normalized by their gcd to keep entries
-    small), then rational back-substitution with the unique free variable set
-    to 1.  Raises LatticeError when the nullity is not exactly 1.
-    """
-    pivots: dict[int, list[int]] = {}
-    for row in rows:
-        row = list(row)
-        for col in sorted(pivots):
-            if row[col]:
-                piv = pivots[col]
-                a, b = piv[col], row[col]
-                row = [a * x - b * y for x, y in zip(row, piv)]
-        lead = next((j for j in range(width) if row[j]), None)
-        if lead is None:
-            continue
-        g = content(row)
-        if g > 1:
-            row = [x // g for x in row]
-        pivots[lead] = row
-    if width - len(pivots) != 1:
-        raise LatticeError("not-equivalent-or-not-irreducible")
-    free = next(j for j in range(width) if j not in pivots)
-    sol: list[Fraction] = [Fraction(0)] * width
-    sol[free] = Fraction(1)
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        s = sum((Fraction(row[j]) * sol[j] for j in range(col + 1, width)), Fraction(0))
-        sol[col] = -s / row[col]
-    return sol
+def _subtract(row: dict, c, other: dict) -> None:
+    """row -= c * other for sparse rows kept as dicts, in place."""
+    for u, x in other.items():
+        row[u] = row.get(u, 0) - c * x
 
 
 def intertwiner(a: RepGenerators, b: RepGenerators) -> IntMatrix:
@@ -273,46 +245,55 @@ def intertwiner(a: RepGenerators, b: RepGenerators) -> IntMatrix:
 
     Unique up to sign when both actions are irreducible and equivalent; the
     returned matrix has entry gcd 1 and first nonzero entry positive.
+
+    An exact sparse solve over Q.  Entry (i, j) of b(s_k) P - P a(s_k) is an
+    equation in the unknowns P[r][c], numbered r n + c, read off the nonzeros
+    of row i of b(s_k) and of column j of a(s_k).  Each equation is reduced
+    into a reduced echelon basis kept as a dict from pivot to row: every row is
+    1 at its pivot, the largest unknown it reads, and 0 at every other pivot.
+    With exactly one unknown f left without a pivot, P[f] = 1 and each pivot
+    unknown is minus its row's entry at f.
     """
     if a.n != b.n:
         raise LatticeError("generator families have different dimensions")
     n = a.n
-    rows = []
+    basis: dict[int, dict] = {}
     for ak, bk in zip(a.mats, b.mats):
-        for i in range(n):
-            for j in range(n):
-                # coefficient of P[r][c] in (b P - P a)[i][j]
-                coeff = [0] * (n * n)
-                for l in range(n):
-                    coeff[l * n + j] += bk.entries[i][l]
-                    coeff[i * n + l] -= ak.entries[l][j]
-                rows.append(coeff)
-    sol = _nullspace_dim_one(rows, n * n)
+        cols = [_nonzeros(c) for c in zip(*ak.entries)]
+        for i, brow in enumerate(_nonzeros(r) for r in bk.entries):
+            for j, acol in enumerate(cols):
+                row = {l * n + j: x for l, x in brow}
+                _subtract(row, 1, {i * n + l: x for l, x in acol})
+                for piv in [u for u, x in row.items() if x and u in basis]:
+                    _subtract(row, row[piv], basis[piv])
+                row = {u: x for u, x in row.items() if x}
+                if not row:
+                    continue
+                lead = max(row)
+                # An int inverse keeps a row of ints integral: at n = 27 that
+                # halves the solve against Fraction arithmetic throughout.
+                inv = Fraction(1, row[lead])
+                inv = inv.numerator if inv.denominator == 1 else inv
+                row = {u: x * inv for u, x in row.items()}
+                for other in basis.values():
+                    if other.get(lead):
+                        _subtract(other, other[lead], row)
+                        del other[lead]
+                basis[lead] = row
+    if n * n - len(basis) != 1:
+        raise LatticeError("not-equivalent-or-not-irreducible")
+    free = next(u for u in range(n * n) if u not in basis)
+    sol = [-basis[u].get(free, 0) if u in basis else 1 for u in range(n * n)]
     den = 1
     for x in sol:
         den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in sol]
+    ints = [x.numerator * (den // x.denominator) for x in sol]
     g = content(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    first = next(x for x in ints if x)
-    if first < 0:
-        ints = [-x for x in ints]
-    p = IntMatrix([ints[i * n : (i + 1) * n] for i in range(n)])
+    if next(x for x in ints if x) < 0:
+        g = -g
+    p = IntMatrix([[x // g for x in ints[i * n : (i + 1) * n]] for i in range(n)])
     _intertwines(a, b, p)
     return p
-
-
-def _nonzeros(vec) -> list[tuple[int, int]]:
-    return [(l, x) for l, x in enumerate(vec) if x]
-
-
-def _combine(terms, vectors, n: int) -> list[int]:
-    """The sum of x * vectors[l] over the (l, x) pairs in terms."""
-    out = [0] * n
-    for l, x in terms:
-        out = [o + x * y for o, y in zip(out, vectors[l])]
-    return out
 
 
 def _intertwines(a: RepGenerators, b: RepGenerators, p: IntMatrix) -> None:

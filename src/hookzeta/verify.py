@@ -369,7 +369,7 @@ def check_sum_decomposition(ns):
 
 @_check("Specht lattice identification")
 def check_specht_identification(ns):
-    """The closed intertwiner equals the Fraction solve, and it lands on L(n+1)."""
+    """The closed intertwiner equals the sparse exact solve, and it lands on L(n+1)."""
     bad = []
     for n in ns:
         a, b = specht.specht_generators_closed(n), specht.craig_generators(n)

@@ -308,6 +308,23 @@ class TestIdentifyCommand:
             code, out, err = run(capsys, "identify", "--file", str(path), "--n", "64")
         assert (code, out, err) == (0, "5\n", "")
 
+    def test_dense_basis_of_the_wrong_size_is_refused_before_its_normal_form(
+        self, capsys, tmp_path, time_limit
+    ):
+        rng = random.Random(1)
+        dense = IntMatrix([[rng.randint(-6, 6) for _ in range(150)] for _ in range(150)])
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps(matrix_to_json(dense)))
+        with time_limit(5):
+            code, out, err = run(capsys, "identify", "--file", str(path), "--n", "2")
+        assert (code, out, err) == (2, "", "error: basis dimension does not match --n\n")
+
+    def test_singular_basis_of_the_wrong_size_reports_the_size(self, capsys, tmp_path):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": [[1, 2, 3], [2, 4, 6], [0, 0, 1]]}))
+        code, out, err = run(capsys, "identify", "--file", str(path), "--n", "2")
+        assert (code, out, err) == (2, "", "error: basis dimension does not match --n\n")
+
     def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "basis.json"
         path.write_text("[" * 100000 + "]" * 100000)

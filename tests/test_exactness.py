@@ -3,9 +3,9 @@
 Every module of the package is parsed with `ast` and scanned for the ways
 floating point gets in: a float or complex literal, a call to `float`,
 `complex` or `round`, and an import from `math`, `cmath`, `statistics` or
-`decimal` of anything other than the integer functions `gcd` and `isqrt`.
-True division `/` is not scanned: its one use is the `fractions.Fraction`
-back-substitution of the Specht intertwiner solve, which stays exact.
+`decimal` of anything other than the integer functions `gcd` and `isqrt`, and
+true division `/`, which turns two ints into a float.  Exact rationals are
+built with the `fractions.Fraction` constructor instead.
 """
 
 import ast
@@ -34,6 +34,8 @@ def inexact_uses(tree: ast.AST) -> list[str]:
             and node.func.id in INEXACT_CALLS
         ):
             found.append(f"line {node.lineno}: call to {node.func.id}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"line {node.lineno}: true division")
         elif isinstance(node, ast.Import):
             found += [
                 f"line {node.lineno}: import {a.name}"
@@ -72,6 +74,8 @@ def test_module_is_exact(path):
         "import decimal",
         "from statistics import mean",
         "from cmath import phase",
+        "x = a / b",
+        "x /= 2",
     ],
 )
 def test_guard_flags_inexact_code(source):

@@ -1,7 +1,9 @@
+import random
 from math import factorial
 
 import pytest
 
+from hookzeta import verify
 from hookzeta.bounds import Bounds, ScaleError
 from hookzeta.arith import content
 from hookzeta.craig import craig_lattice
@@ -218,9 +220,86 @@ class TestIntertwiner:
         with pytest.raises(LatticeError, match="not-equivalent-or-not-irreducible"):
             intertwiner(craig_generators(2), reducible)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_no_intertwiner_to_the_negated_family(self, n):
+        # b(s_k) P = -P b(s_k) has only P = 0: nullity 0.
+        b = craig_generators(n)
+        negated = RepGenerators(n, tuple(-1 * m for m in b.mats))
+        with pytest.raises(LatticeError, match="not-equivalent-or-not-irreducible"):
+            intertwiner(b, negated)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_trivial_families_leave_every_unknown_free(self, n):
+        # Every P intertwines two identity families: nullity n^2.
+        ones = RepGenerators(n, (IntMatrix.identity(n),) * n)
+        with pytest.raises(LatticeError, match="not-equivalent-or-not-irreducible"):
+            intertwiner(ones, ones)
+
+    def test_mismatched_dimensions_rejected(self):
+        with pytest.raises(LatticeError, match="different dimensions"):
+            intertwiner(craig_generators(2), craig_generators(3))
+
+    def test_densely_conjugated_families(self):
+        # intertwiner(U^-1 a U, b) is closed_intertwiner(a, b) U up to sign and content.
+        for seed in range(1, 21):
+            rng = random.Random(seed)
+            for n in range(2, 11):
+                u, u_inv = _elementary_pair(n, [_elementary_step(rng, n) for _ in range(3 * n)])
+                _assert_conjugated_solve(u, u_inv)
+
+    def test_densely_conjugated_families_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        def case(n):
+            step = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+            return st.lists(step, max_size=3 * n).map(lambda steps: _elementary_pair(n, steps))
+
+        @hyp.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+        @hyp.given(st.integers(2, 8).flatmap(case))
+        def prop(pair):
+            _assert_conjugated_solve(*pair)
+
+        prop()
+
+    def test_specht_identification_to_27_within_the_time_limit(self, time_limit):
+        with time_limit(10):
+            assert verify.check_specht_identification(range(2, 28)).passed
+
+
+def _elementary_step(rng, n):
+    i, j = rng.sample(range(n), 2)
+    return i, j, rng.choice([-3, -2, -1, 1, 2, 3])
+
+
+def _elementary_pair(n, steps):
+    """U from the column operations "add c times column i to column j", and U^-1."""
+    u = [[int(r == c) for c in range(n)] for r in range(n)]
+    u_inv = [row[:] for row in u]
+    for i, j, c in steps:
+        if i != j:
+            for row in u:
+                row[j] += c * row[i]
+            u_inv[i] = [x - c * y for x, y in zip(u_inv[i], u_inv[j])]
+    return IntMatrix(u), IntMatrix(u_inv)
+
+
+def _normalized(m):
+    entries = [x for row in m.entries for x in row]
+    g = content(entries) * (1 if next(x for x in entries if x) > 0 else -1)
+    return IntMatrix([[x // g for x in row] for row in m.entries])
+
+
+def _assert_conjugated_solve(u, u_inv):
+    n = u.rows
+    assert u * u_inv == IntMatrix.identity(n)
+    a, b = specht_generators_closed(n), craig_generators(n)
+    conjugated = RepGenerators(n, tuple(u_inv * m * u for m in a.mats))
+    assert intertwiner(conjugated, b) == _normalized(closed_intertwiner(a, b) * u)
+
 
 class TestClosedIntertwiner:
-    @pytest.mark.parametrize("n", range(2, 17))
+    @pytest.mark.parametrize("n", [*range(2, 17), 24, 32])
     def test_equals_the_solved_intertwiner(self, n):
         solved = intertwiner(specht_generators_closed(n), craig_generators(n))
         assert closed_intertwiner(specht_generators_closed(n), craig_generators(n)) == solved
