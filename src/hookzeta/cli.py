@@ -76,21 +76,21 @@ def cmd_coeffs(args) -> int:
         raise ScaleError(
             f"coeffs-scale-exceeded: limit {args.limit} is above {bounds.coeffs_max_limit}"
         )
-    z = zeta.global_zeta(args.n, args.d)
-    pairs = enumerate(zeta.dirichlet_coeffs(z, args.limit), start=1)
+    table = zeta.dirichlet_coeffs(zeta.global_zeta(args.n, args.d), args.limit)
     # "m<TAB>a" lines, or the bytes `_emit_json` writes for [[m, a], ...]:
-    # shaped by hand and streamed in batches, since the indent-2 encoder runs
-    # in pure Python and is several times slower on this table.
+    # shaped by hand and streamed in batches of one %-format each, since the
+    # indent-2 encoder runs in pure Python and is several times slower on
+    # this table.
     text = args.format == "text"
-    sep, lead = ("\n" if text else ",\n"), ""
+    sep = "\n" if text else ",\n"
+    shape = "%d\t%d" if text else "  [\n    %d,\n    %d\n  ]"
     sys.stdout.write("" if text else "[\n")
-    while batch := list(islice(pairs, 4096)):
-        if text:
-            body = sep.join([f"{m}\t{a}" for m, a in batch])
-        else:
-            body = sep.join([f"  [\n    {m},\n    {a}\n  ]" for m, a in batch])
-        sys.stdout.write(lead + body)
-        lead = sep
+    for start in range(0, len(table), 4096):
+        batch = table[start : start + 4096]
+        flat = [0] * (2 * len(batch))
+        flat[0::2] = range(start + 1, start + 1 + len(batch))
+        flat[1::2] = batch
+        sys.stdout.write((sep if start else "") + sep.join([shape] * len(batch)) % tuple(flat))
     sys.stdout.write("\n" if text else "\n]\n")
     return 0
 
@@ -111,23 +111,29 @@ def cmd_enumerate(args) -> int:
         craig.check_spinning_scale(args.n, args.prime, bounds)
     if not is_prime(args.prime):
         raise ValueError("--prime must be a prime number")
-    base = craig.craig_lattice(args.n, args.d).basis
+    if args.d < 1:
+        raise ValueError("need n >= 2 and d >= 1")  # as craig_lattice says
     # L(d) is stable exactly when d divides n + 1; `verify` checks this with is_g_stable.
     if (args.n + 1) % args.d:
         print("requested lattice is not stable", file=sys.stderr)
         return 2
-    gens = specht.craig_generators(args.n)
-    found = craig.enumerate_p_sublattices(base, gens, args.prime, args.max_exp, bounds)
-    counts = {str(e): len(found.get(e, [])) for e in range(args.max_exp + 1)}
-    if args.oracle:
-        for e in range(args.max_exp + 1):
-            direct = craig.enumerate_index_sublattices(base, gens, args.prime**e, bounds)
-            if direct != found.get(e, []):
-                print(
-                    f"mismatch between walk and census at exponent {e}",
-                    file=sys.stderr,
-                )
-                return 1
+    if args.max_exp:
+        base = craig.craig_lattice(args.n, args.d).basis
+        gens = specht.craig_generators(args.n)
+        found = craig.enumerate_p_sublattices(base, gens, args.prime, args.max_exp, bounds)
+        counts = {str(e): len(found.get(e, [])) for e in range(args.max_exp + 1)}
+        if args.oracle:
+            for e in range(args.max_exp + 1):
+                direct = craig.enumerate_index_sublattices(base, gens, args.prime**e, bounds)
+                if direct != found.get(e, []):
+                    print(f"mismatch between walk and census at exponent {e}", file=sys.stderr)
+                    return 1
+    else:
+        # Index p^0 holds L(d) alone, for the walk and the census alike: no
+        # generators, no walk and no census, and the lattice is built only to
+        # be written.
+        found = {0: [craig.craig_lattice(args.n, args.d).basis]} if args.with_lattices else {}
+        counts = {"0": 1}
     payload: dict = {"p": args.prime, "counts": counts}
     if args.with_lattices:
         payload["lattices"] = {

@@ -1,6 +1,6 @@
 import pytest
 
-from hookzeta import cli
+from hookzeta import arith, cli
 from hookzeta.arith import is_prime, prime_factorization
 from hookzeta.bounds import ScaleError
 
@@ -110,6 +110,69 @@ P18 = 1000000000000000003
 def test_factorization_stops_at_a_prime_cofactor(n, factors, time_limit):
     with time_limit(5):
         assert prime_factorization(n) == factors
+
+
+def test_rho_splits_every_odd_composite_up_to_1e5():
+    # The rho splitter is only handed cofactors with no factor below 2^12;
+    # small odd composites, prime powers among them, exercise its retries.
+    bad = []
+    for n in range(9, 100_001, 2):
+        if not trial_division(n):
+            d = arith._rho(n)
+            if not (1 < d < n and n % d == 0):
+                bad.append(n)
+    assert bad == []
+
+
+PRIMES_PAST_THE_TRIAL_BOUND = [4099, 4111, 4127, 4129, 4133, 4139, 4153, 4157, 4159, 4177]
+
+
+def test_factorization_of_products_past_the_trial_bound():
+    # Every cofactor here is above 2^24 with no factor below 2^12, so rho splits it.
+    ps = PRIMES_PAST_THE_TRIAL_BOUND
+    products = [p * q for i, p in enumerate(ps) for q in ps[i:]]
+    products += [p * q * r for p, q, r in zip(ps, ps[1:], ps[2:])]
+    products += [6 * 4099**3, 4099**2 * 4177**2]
+    assert [n for n in products if prime_factorization(n) != trial_factorization(n)] == []
+
+
+P9, P10 = 998244353, 1000000007
+PRIME_PAST_THE_LIMIT = 3317044064679887385962123
+
+
+@pytest.mark.parametrize(
+    "n, factors",
+    [
+        (P9 * P10, {P9: 1, P10: 1}),
+        (12 * P9 * P9 * P10, {2: 2, 3: 1, P9: 2, P10: 1}),
+        (4099**7, {4099: 7}),  # above the Miller-Rabin range, split by rho
+        (P18 * P9 * P10, {P9: 1, P10: 1, P18: 1}),
+    ],
+)
+def test_factorization_splits_large_composites(n, factors, time_limit):
+    with time_limit(5):
+        assert prime_factorization(n) == factors
+
+
+@pytest.mark.parametrize("n", [PRIME_PAST_THE_LIMIT, 6 * PRIME_PAST_THE_LIMIT])
+def test_factorization_refuses_a_prime_cofactor_past_the_limit(n, time_limit):
+    with time_limit(5), pytest.raises(ScaleError, match="prime-scale-exceeded"):
+        prime_factorization(n)
+
+
+def test_rho_gives_up_past_its_budget(monkeypatch):
+    monkeypatch.setattr(arith, "_RHO_BUDGET", 1000)
+    with pytest.raises(ScaleError, match="factor-scale-exceeded"):
+        prime_factorization(P9 * P10)
+
+
+def test_zeta_of_a_product_of_two_large_primes(capsys, time_limit):
+    with time_limit(5):
+        code = cli.main(["zeta", "--n", str(P9 * P10 - 1), "--d", "1"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"zeta_Q({P9 * P10 - 1}s) * (1 + ({P9}^")
+    assert f" * (1 + ({P10}^" in out
 
 
 def test_zeta_of_a_huge_prime_n_plus_one(capsys, time_limit):

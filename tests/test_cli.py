@@ -185,6 +185,31 @@ class TestEnumerateCommand:
         assert code == 0
         assert json.loads(out) == {"counts": {"0": 1}, "p": 1000000000000000003}
 
+    def test_exponent_zero_builds_no_generators(self, capsys, monkeypatch, time_limit):
+        # Index p^0 holds L(d) alone; the n^3 generators at n = 300 took seconds.
+        def forbidden(*args):
+            raise AssertionError("enumerate built generators at exponent 0")
+
+        monkeypatch.setattr(specht, "craig_generators", forbidden)
+        argv = ["enumerate", "--n", "300", "--d", "1", "--prime", "3", "--max-exp", "0"]
+        with time_limit(2):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (0, '{\n  "counts": {\n    "0": 1\n  },\n  "p": 3\n}\n', "")
+            code, out, err = run(capsys, *argv, "--oracle", "--format", "text")
+            assert (code, out, err) == (0, "1\n", "")
+            code, out, err = run(capsys, *argv[:4], "2", *argv[5:])
+            assert (code, out, err) == (2, "", "requested lattice is not stable\n")
+            code, out, err = run(capsys, *argv[:4], "0", *argv[5:])
+            assert (code, out, err) == (2, "", "error: need n >= 2 and d >= 1\n")
+        code, out, err = run(capsys, "enumerate", "--n", "5", "--d", "3", "--prime", "2",
+                             "--max-exp", "0", "--with-lattices")
+        assert code == 0
+        assert json.loads(out) == {
+            "counts": {"0": 1},
+            "lattices": {"0": [matrix_to_json(craig_lattice(5, 3).basis.hnf)]},
+            "p": 2,
+        }
+
     def test_prime_past_the_deterministic_range(self, capsys):
         argv = ["enumerate", "--n", "3", "--prime", "3317044064679887385961981", "--max-exp", "0"]
         code, out, err = run(capsys, *argv)

@@ -955,14 +955,16 @@ class TestIndexCensus:
         assert enumerate_index_sublattices(lat, craig_generators(2), 2) == []
 
     def test_matches_naive_census(self):
+        # Every d | n + 1: L(d) and L(d') that agree at p share one walked p-layer.
         grid = {
             2: (2, 3, 4, 6, 9, 12, 16, 18, 24, 27, 36),
             3: (2, 4, 6, 8, 12, 16, 24, 27),
             4: (2, 4, 5, 8, 16, 25),
+            5: (2, 3, 4, 6),
         }
         for n, ms in grid.items():
             gens = craig_generators(n)
-            for d in (1, n + 1):
+            for d in divisors(n + 1):
                 lat = craig_lattice(n, d).basis
                 for m in ms:
                     fast = enumerate_index_sublattices(lat, gens, m)
@@ -1079,3 +1081,36 @@ class TestIndexCensus:
         lat = craig_lattice(2, 2).basis
         with pytest.raises(LatticeError):
             enumerate_index_sublattices(lat, craig_generators(2), 3)
+
+    def test_unstable_base_rejected_when_its_local_lattice_is_stable(self):
+        # L(3) is unstable at n = 3; its 2-local lattice L(3) + Z^3 is Z^3 = L(1),
+        # whose 2-layer is already memoized here.
+        gens = craig_generators(3)
+        assert enumerate_index_sublattices(craig_lattice(3, 1).basis, gens, 2) == []
+        with pytest.raises(LatticeError):
+            enumerate_index_sublattices(craig_lattice(3, 3).basis, gens, 2)
+
+    def test_each_p_local_lattice_is_walked_once(self, monkeypatch):
+        # At n = 5, L(d) agrees with L(gcd(d, p^v)) at p: the 2-layers of L(3)
+        # and L(6) are those of L(1) and L(2), and the 3-layers of L(2) and
+        # L(6) those of L(1) and L(3).  Every other prime sees only L(1) = Z^5.
+        n, gens = 5, craig_generators(5)
+        lattices = {d: craig_lattice(n, d).basis for d in divisors(n + 1)}
+        craig._census_layer.cache_clear()
+        walked = []
+        real = craig._census_walk
+
+        def counted(lattice, gens, p, k):
+            walked.append((lattice, p, k))
+            return real(lattice, gens, p, k)
+
+        monkeypatch.setattr(craig, "_census_walk", counted)
+        for lat in lattices.values():
+            for m in range(1, 65):
+                enumerate_index_sublattices(lat, gens, m)
+        assert len(walked) == len(set(walked))
+        on = {p: {d for d, lat in lattices.items() for w, q, _ in walked if w == lat and q == p}
+              for _, p, _ in walked}
+        assert on.pop(2) == {1, 2}
+        assert on.pop(3) == {1, 3}
+        assert on and all(ds == {1} for ds in on.values())
