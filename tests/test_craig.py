@@ -1109,8 +1109,10 @@ class TestIndexCensus:
             for m in range(1, 65):
                 enumerate_index_sublattices(lat, gens, m)
         assert len(walked) == len(set(walked))
-        on = {p: {d for d, lat in lattices.items() for w, q, _ in walked if w == lat and q == p}
-              for _, p, _ in walked}
+        name = {lat: d for d, lat in lattices.items()}
+        on = {}
+        for lat, p, _ in walked:
+            on.setdefault(p, set()).add(name[lat])
         assert on.pop(2) == {1, 2}
         assert on.pop(3) == {1, 3}
         assert on and all(ds == {1} for ds in on.values())
