@@ -15,14 +15,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
-def _refuse_above_the_limit(n: int) -> None:
-    if n >= _MR_LIMIT:
-        raise ScaleError(f"prime-scale-exceeded: primality is decided below {_MR_LIMIT}")
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; ScaleError at and above `_MR_LIMIT`."""
-    _refuse_above_the_limit(n)
+    if n >= _MR_LIMIT:
+        raise ScaleError(f"prime-scale-exceeded: primality is decided below {_MR_LIMIT}")
     return _strong_probable_prime(n)
 
 
@@ -132,7 +128,8 @@ def prime_factorization(n: int) -> dict[int, int]:
                 d = _rho(m)
                 cofactors += [d, m // d]
                 continue
-            _refuse_above_the_limit(m)
+            if m >= _MR_LIMIT:
+                raise ScaleError(f"prime-scale-exceeded: primality is decided below {_MR_LIMIT}")
         out[m] = out.get(m, 0) + 1
     return dict(sorted(out.items()))
 

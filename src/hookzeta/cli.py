@@ -111,29 +111,25 @@ def cmd_enumerate(args) -> int:
         craig.check_spinning_scale(args.n, args.prime, bounds)
     if not is_prime(args.prime):
         raise ValueError("--prime must be a prime number")
-    if args.d < 1:
-        raise ValueError("need n >= 2 and d >= 1")  # as craig_lattice says
+    base = craig.craig_lattice(args.n, args.d).basis
     # L(d) is stable exactly when d divides n + 1; `verify` checks this with is_g_stable.
     if (args.n + 1) % args.d:
         print("requested lattice is not stable", file=sys.stderr)
         return 2
-    if args.max_exp:
-        base = craig.craig_lattice(args.n, args.d).basis
-        gens = specht.craig_generators(args.n)
-        found = craig.enumerate_p_sublattices(base, gens, args.prime, args.max_exp, bounds)
-        counts = {str(e): len(found.get(e, [])) for e in range(args.max_exp + 1)}
-        if args.oracle:
-            for e in range(args.max_exp + 1):
-                direct = craig.enumerate_index_sublattices(base, gens, args.prime**e, bounds)
-                if direct != found.get(e, []):
-                    print(f"mismatch between walk and census at exponent {e}", file=sys.stderr)
-                    return 1
-    else:
-        # Index p^0 holds L(d) alone, for the walk and the census alike: no
-        # generators, no walk and no census, and the lattice is built only to
-        # be written.
-        found = {0: [craig.craig_lattice(args.n, args.d).basis]} if args.with_lattices else {}
-        counts = {"0": 1}
+    # Index p^0 holds L(d) alone: neither the walk nor the census reads the
+    # generators there.
+    gens = specht.craig_generators(args.n) if args.max_exp else None
+    found = craig.enumerate_p_sublattices(base, gens, args.prime, args.max_exp, bounds)
+    counts = {str(e): len(found.get(e, [])) for e in range(args.max_exp + 1)}
+    if args.oracle:
+        for e in range(args.max_exp + 1):
+            direct = craig.enumerate_index_sublattices(base, gens, args.prime**e, bounds)
+            if direct != found.get(e, []):
+                print(
+                    f"mismatch between walk and census at exponent {e}",
+                    file=sys.stderr,
+                )
+                return 1
     payload: dict = {"p": args.prime, "counts": counts}
     if args.with_lattices:
         payload["lattices"] = {

@@ -201,6 +201,10 @@ class TestEnumerateCommand:
             assert (code, out, err) == (2, "", "requested lattice is not stable\n")
             code, out, err = run(capsys, *argv[:4], "0", *argv[5:])
             assert (code, out, err) == (2, "", "error: need n >= 2 and d >= 1\n")
+        for n in ("1", "0", "-1"):
+            for d in ("1", "2"):
+                code, out, err = run(capsys, *argv[:2], n, "--d", d, *argv[5:])
+                assert (code, out, err) == (2, "", "module dimension must be at least 2\n")
         code, out, err = run(capsys, "enumerate", "--n", "5", "--d", "3", "--prime", "2",
                              "--max-exp", "0", "--with-lattices")
         assert code == 0
