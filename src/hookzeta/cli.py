@@ -7,7 +7,8 @@ computation above a configured bound (`--bound-*`; `specht --n` above
 `--bound-specht-n`, `coeffs --limit` above `--bound-coeffs-limit` and
 `enumerate --max-exp` above `--bound-max-exp`, or at least 1 with a residue
 module above `--bound-spin`, and `verify` with a residue module of its grid
-above `--bound-spin`, stop before any work).
+above `--bound-spin`, stop before any work), or a computation that runs out
+of memory (`error: out of memory`).
 """
 
 from __future__ import annotations
@@ -289,6 +290,9 @@ def main(argv=None) -> int:
         return 1
     except (ScaleError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -219,14 +219,6 @@ def _terms(poly: IntPoly, p: int, times: str, power: str, big: str) -> list[str]
     ]
 
 
-def _coeff_list(poly: IntPoly) -> list[int]:
-    """[c_0, ..., c_deg]: the dense form that the JSON output keeps."""
-    out = [0] * (poly.terms[-1][0] + 1 if poly.terms else 0)
-    for e, c in poly.terms:
-        out[e] = c
-    return out
-
-
 @dataclass(frozen=True)
 class GlobalZeta:
     """Euler-product form: Riemann zeta at n*s times one polynomial per prime."""
@@ -257,12 +249,13 @@ class GlobalZeta:
         return terms
 
     def to_json_dict(self) -> dict:
+        """Each local polynomial as its [j, c] pairs: sized by its terms, not its degree."""
         return {
             "n": self.n,
             "d": self.d,
             "riemann_exponent": self.riemann_exponent,
             "local_factors": [
-                {"p": p, "coeffs": _coeff_list(poly)} for p, poly in self.local_factors
+                {"p": p, "terms": [list(t) for t in poly.terms]} for p, poly in self.local_factors
             ],
         }
 

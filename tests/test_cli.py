@@ -33,7 +33,7 @@ class TestZetaCommand:
         code, out, _ = run(capsys, "zeta", "--n", "2", "--d", "1", "--format", "json")
         assert code == 0
         blob = json.loads(out)
-        assert blob["local_factors"] == [{"coeffs": [1, 1], "p": 3}]
+        assert blob["local_factors"] == [{"p": 3, "terms": [[0, 1], [1, 1]]}]
 
     def test_past_the_digit_limit(self, capsys):
         # 1667^4999 and 101^999999 have more digits than Python prints by default.
@@ -58,6 +58,36 @@ class TestZetaCommand:
         assert code == 2
 
 
+class TestZetaContract:
+    """Every `zeta` input of the grid is answered or refused, quickly and in a
+    few bytes: each local factor has at most v_p(n+1) + 1 nonzero terms."""
+
+    NS = (
+        list(range(2, 41))
+        + [10**k + e for k in range(6, 19) for e in (-1, 0, 1)]
+        + [10**18 + 2, 998244359987710470]
+        + [random.Random(26).randrange(41, 10**12) for _ in range(20)]
+    )
+
+    def test_answered_or_refused_in_few_bytes(self, capsys, time_limit):
+        for n in self.NS:
+            for d in (1, n + 1, n + 2, 0):
+                for fmt in ("text", "json", "latex"):
+                    argv = ["zeta", "--n", str(n), "--d", str(d), "--format", fmt]
+                    with time_limit(5):
+                        code, out, err = run(capsys, *argv)
+                    assert code in (0, 2), argv
+                    assert "Traceback" not in err, argv
+                    assert code == 0 or out == "", argv
+                    assert len(out.encode()) < 4096, argv
+                    if code == 0 and fmt == "json":
+                        for factor in json.loads(out)["local_factors"]:
+                            p, m, v = factor["p"], n + 1, 0
+                            while m % p == 0:
+                                m, v = m // p, v + 1
+                            assert 1 <= len(factor["terms"]) <= v + 1, (argv, p)
+
+
 class TestCoeffsCommand:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "1", "--limit", "12")
@@ -80,6 +110,15 @@ class TestCoeffsCommand:
     def test_bad_limit(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--n", "2", "--d", "1", "--limit", "0")
         assert code == 2
+
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(zeta, "dirichlet_coeffs", exhausted)
+        code, out, err = run(capsys, "coeffs", "--n", "3", "--d", "4", "--limit", "10")
+        assert (code, out, err) == (2, "", "error: out of memory\n")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("n, d", [(2, 1), (3, 4), (5, 6)])
     def test_writer_matches_the_encoder_at_batch_edges(self, capsys, n, d):

@@ -210,7 +210,7 @@ class TestGlobalZeta:
             "n": 2,
             "d": 1,
             "riemann_exponent": 2,
-            "local_factors": [{"p": 3, "coeffs": [1, 1]}],
+            "local_factors": [{"p": 3, "terms": [[0, 1], [1, 1]]}],
         }
 
     def test_constant_terms_are_one(self):
@@ -294,9 +294,13 @@ class TestDenseOracle:
                     p: dense_numerator(n, valuation(n + 1, p), valuation(d, p))
                     for p in sorted(prime_factorization(n + 1))
                 }
-                assert z.to_json_dict()["local_factors"] == [
-                    {"p": p, "coeffs": c} for p, c in dense.items()
+                factors = z.to_json_dict()["local_factors"]
+                assert factors == [
+                    {"p": p, "terms": [[j, x] for j, x in enumerate(c) if x]}
+                    for p, c in dense.items()
                 ], (n, d)
+                for factor, (p, poly) in zip(factors, z.local_factors):
+                    assert IntPoly(map(tuple, factor["terms"])) == poly, (n, d, p)
                 text = [
                     "(" + " + ".join(dense_terms(c, p, "*", "{}^(-s)")) + ")"
                     for p, c in dense.items()
