@@ -118,7 +118,6 @@ class TestCoeffsCommand:
         monkeypatch.setattr(zeta, "dirichlet_coeffs", exhausted)
         code, out, err = run(capsys, "coeffs", "--n", "3", "--d", "4", "--limit", "10")
         assert (code, out, err) == (2, "", "error: out of memory\n")
-        assert "Traceback" not in err
 
     @pytest.mark.parametrize("n, d", [(2, 1), (3, 4), (5, 6)])
     def test_writer_matches_the_encoder_at_batch_edges(self, capsys, n, d):
