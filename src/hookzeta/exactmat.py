@@ -250,13 +250,18 @@ class LatticeBasis:
         return d
 
     def contains(self, vec) -> bool:
-        return solve_triangular(self.hnf, vec) is not None
+        v = tuple(vec)
+        if len(v) != self.dim:
+            raise MatrixError("dimension mismatch")
+        return solve_triangular(self.hnf, v) is not None
 
     def scale(self, c) -> "LatticeBasis":
-        """The lattice c * L for a positive rational c with c * L integral.
+        """The lattice c * L for a positive int or Fraction c with c * L integral.
 
         A positive multiple of a normal form is again one.
         """
+        if not isinstance(c, (int, Fraction)):
+            raise LatticeError("scale factor must be an int or a Fraction")
         c = Fraction(c)
         if c <= 0:
             raise LatticeError("scale factor must be positive")
@@ -287,10 +292,28 @@ class LatticeBasis:
 
 
 def is_sublattice(sub: LatticeBasis, sup: LatticeBasis) -> bool:
-    """True when every generator of sub has integer coordinates in sup."""
+    """True when every generator of sub has integer coordinates in sup.
+
+    Decided on the two normal forms, with no matrix built.  Each pivot of sup
+    must divide the matching pivot of sub, an O(n) necessary test.  Then each
+    column of sub, zero above its pivot row, is forward-substituted through
+    sup from that row down, stopping at the first entry that does not divide.
+    """
     if sub.dim != sup.dim:
         raise MatrixError("dimension mismatch")
-    return solve_in_lattice(sup.hnf, sub.hnf) is not None
+    h, g, n = sup.hnf.entries, sub.hnf.entries, sub.dim
+    for i in range(n):
+        if g[i][i] % h[i][i]:
+            return False
+    for j, r in enumerate(map(list, zip(*g))):
+        for i in range(j, n):
+            if r[i]:
+                c, rem = divmod(r[i], h[i][i])
+                if rem:
+                    return False
+                for k in range(i + 1, n):
+                    r[k] -= c * h[k][i]
+    return True
 
 
 def lattice_index(sup: LatticeBasis, sub: LatticeBasis) -> int:
@@ -301,9 +324,15 @@ def lattice_index(sup: LatticeBasis, sub: LatticeBasis) -> int:
 
 
 def lattice_sum(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
-    """Smallest lattice containing both summands."""
-    if a.dim != b.dim:
-        raise MatrixError("dimension mismatch")
+    """Smallest lattice containing both summands.
+
+    When one summand contains the other, one inclusion test answers: the sum
+    is the containing one.  Otherwise the stacked columns are reduced.
+    """
+    if is_sublattice(a, b):
+        return LatticeBasis._from_hnf(b.hnf)
+    if is_sublattice(b, a):
+        return LatticeBasis._from_hnf(a.hnf)
     cols = [list(c) for m in (a.hnf, b.hnf) for c in zip(*m.entries)]
     return LatticeBasis._from_hnf(_column_hnf(cols))
 
@@ -314,10 +343,13 @@ def lattice_intersect(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
     The columns (A e_j; A e_j) and (B e_j; 0) span a full-rank lattice M in
     Z^2n.  In its column HNF the last n columns have a zero upper half, so they
     span M meet (0 + Z^n) = {(0; A x) : A x in B}, and their lower halves are
-    already the HNF of the intersection.
+    already the HNF of the intersection.  When one operand contains the
+    other, one inclusion test answers instead: the meet is the contained one.
     """
-    if a.dim != b.dim:
-        raise MatrixError("dimension mismatch")
+    if is_sublattice(a, b):
+        return LatticeBasis._from_hnf(a.hnf)
+    if is_sublattice(b, a):
+        return LatticeBasis._from_hnf(b.hnf)
     n = a.dim
     cols = [list(c) * 2 for c in zip(*a.hnf.entries)]
     cols += [list(c) + [0] * n for c in zip(*b.hnf.entries)]

@@ -286,6 +286,11 @@ class TestCraigLattice:
             for d in (1, 2, 3, n + 1):
                 assert craig_lattice(n, d).basis.determinant() == d ** (n - 1)
 
+    def test_memo_returns_the_same_value_and_refuses_floats(self):
+        assert craig_lattice(3, 2) is craig_lattice(3, 2)
+        with pytest.raises(TypeError):
+            craig_lattice(3, 2.0)
+
 
 class TestStability:
     def test_divisor_criterion_both_directions(self):

@@ -5,7 +5,9 @@ from math import prod
 
 import pytest
 
-from hookzeta.craig import craig_lattice
+from hookzeta import craig, exactmat, verify
+from hookzeta.arith import prime_factorization
+from hookzeta.craig import ScaledCraigLattice, craig_lattice, scaled_inclusion, scaled_lattice_basis
 from hookzeta.exactmat import (
     IntMatrix,
     LatticeBasis,
@@ -19,6 +21,7 @@ from hookzeta.exactmat import (
     lattice_sum,
     matrix_from_json,
     matrix_to_json,
+    solve_in_lattice,
     solve_triangular,
 )
 
@@ -260,6 +263,20 @@ class TestLatticeBasis:
         assert lat.contains((4, -3))
         assert not lat.contains((1, 0))
 
+    def test_contains_checks_the_length(self):
+        lat = LatticeBasis(IntMatrix.identity(2)).scale(2)
+        with pytest.raises(MatrixError, match="dimension mismatch"):
+            lat.contains([2, 4, 7])
+        with pytest.raises(MatrixError, match="dimension mismatch"):
+            lat.contains([2])
+        assert lat.contains(iter([2, 4]))
+
+    def test_scale_refuses_floats(self):
+        lat = LatticeBasis(IntMatrix.identity(2)).scale(2)
+        for c in (1.5, 2.0, "3"):
+            with pytest.raises(LatticeError, match="int or a Fraction"):
+                lat.scale(c)
+
     def test_scale_by_fraction(self):
         l3 = craig_lattice(2, 3).basis
         tripled = l3.scale(3)
@@ -458,6 +475,107 @@ class TestIntersectionOracle:
             for lat in (lattice_sum(a, b), lattice_intersect(a, b), a.scale(Fraction(6, 1))):
                 assert lat.basis == lat.hnf == LatticeBasis(lat.basis).hnf
                 assert all(isinstance(x, int) for row in lat.hnf.entries for x in row)
+
+
+def closed_form_grid():
+    """The ordered pairs (x, y, X, Y) that `check_scaled_closed_forms` runs at
+    n_max 6: X = p^a L(p^b) for every prime p | n+1 and a, b <= 3."""
+    for n in range(2, 7):
+        for p in sorted(prime_factorization(n + 1)):
+            family = [ScaledCraigLattice(p, a, b) for a in range(4) for b in range(4)]
+            bases = {x: scaled_lattice_basis(n, x) for x in family}
+            for x, y in product(family, repeat=2):
+                yield x, y, bases[x], bases[y]
+
+
+def stacked_sum(a, b):
+    """The normal form of the 2n columns of both operands, with no shortcut."""
+    return hnf(IntMatrix.from_columns(list(zip(*a.hnf.entries)) + list(zip(*b.hnf.entries))))
+
+
+def random_hnf(rng, n, diagonal):
+    """The lattice whose normal form has the given pivots and seeded entries
+    left of each pivot, reduced into [0, pivot)."""
+    rows = [[rng.randrange(diagonal[i]) if j < i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        rows[i][i] = diagonal[i]
+    lat = LatticeBasis(IntMatrix(rows))
+    assert lat.hnf.entries == tuple(map(tuple, rows))
+    return lat
+
+
+class TestNestedShortcuts:
+    """`lattice_intersect` and `lattice_sum` answer nested operands with one
+    inclusion test; the oracles below take no shortcut."""
+
+    def test_closed_form_grid_matches_the_oracles(self):
+        pairs = nested = 0
+        for x, y, a, b in closed_form_grid():
+            pairs += 1
+            nested += scaled_inclusion(x, y) or scaled_inclusion(y, x)
+            assert lattice_intersect(a, b) == tag_intersect(a, b)
+            assert lattice_sum(a, b).hnf == stacked_sum(a, b)
+        assert (pairs, nested) == (1536, 1404)
+
+    def test_seeded_meets_and_joins_match_the_oracles(self):
+        rng = random.Random(2701)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            a, b = random_lattice(rng, n), random_lattice(rng, n)
+            meet, join = tag_intersect(a, b), LatticeBasis(stacked_sum(a, b))
+            for x, y in ((a, meet), (meet, a), (a, join), (join, a), (a, a)):
+                assert lattice_intersect(x, y) == tag_intersect(x, y)
+                assert lattice_sum(x, y).hnf == stacked_sum(x, y)
+                # a keeps the caller's basis; a result is always its normal form.
+                for lat in (lattice_intersect(x, y), lattice_sum(x, y)):
+                    assert lat.basis == lat.hnf
+
+    def test_divisible_pivots_need_not_nest(self):
+        two = LatticeBasis(IntMatrix.identity(2)).scale(2)
+        skew = LatticeBasis(IntMatrix([[2, 0], [1, 2]]))
+        assert skew.hnf.entries == ((2, 0), (1, 2))
+        assert not is_sublattice(two, skew) and not is_sublattice(skew, two)
+        assert lattice_intersect(two, skew) == tag_intersect(two, skew)
+        assert lattice_sum(two, skew).hnf == stacked_sum(two, skew)
+
+    def test_inclusion_matches_the_triangular_solve(self):
+        rng = random.Random(2703)
+        outcomes = set()
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            sup_diag = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n)]
+            sub_diag = [x * rng.choice((1, 1, 2, 3, 5)) for x in sup_diag]
+            sup, sub = random_hnf(rng, n, sup_diag), random_hnf(rng, n, sub_diag)
+            if rng.random() < 0.2:
+                sub = LatticeBasis(sup.basis * rng.choice((2, 3, 6)))
+            expected = solve_in_lattice(sup.hnf, sub.hnf) is not None
+            assert is_sublattice(sub, sup) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
+        for x, y, a, b in closed_form_grid():
+            assert is_sublattice(a, b) == (solve_in_lattice(b.hnf, a.hnf) is not None)
+
+
+class TestWorkCounts:
+    """Pin the work the closed-form check and `verify` do, so a change that
+    drops the nested shortcut or the L(d) memo shows here."""
+
+    def test_closed_forms_run_132_stacked_intersections(self, monkeypatch):
+        firsts = []
+        column_hnf = exactmat._column_hnf
+
+        def counted(cols, first=0):
+            firsts.append(first)
+            return column_hnf(cols, first)
+
+        monkeypatch.setattr(exactmat, "_column_hnf", counted)
+        assert verify.check_scaled_closed_forms(range(2, 7), 3).passed
+        assert sum(first > 0 for first in firsts) == 132
+
+    def test_verify_builds_each_craig_lattice_once(self):
+        craig.craig_lattice.cache_clear()
+        assert verify.run_verification(6)["passed"]
+        assert craig.craig_lattice.cache_info().misses == 57
 
 
 def _hypothesis():
