@@ -544,6 +544,7 @@ class TestNestedShortcuts:
         for _ in range(3000):
             n = rng.randint(1, 5)
             sup_diag = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n)]
+            # Every pair passes the pivot test, so the substitution decides.
             sub_diag = [x * rng.choice((1, 1, 2, 3, 5)) for x in sup_diag]
             sup, sub = random_hnf(rng, n, sup_diag), random_hnf(rng, n, sub_diag)
             if rng.random() < 0.2:
