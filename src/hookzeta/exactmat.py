@@ -294,26 +294,12 @@ class LatticeBasis:
 def is_sublattice(sub: LatticeBasis, sup: LatticeBasis) -> bool:
     """True when every generator of sub has integer coordinates in sup.
 
-    Decided on the two normal forms, with no matrix built.  Each pivot of sup
-    must divide the matching pivot of sub, an O(n) necessary test.  Then each
-    column of sub, zero above its pivot row, is forward-substituted through
-    sup from that row down, stopping at the first entry that does not divide.
+    Each column of sub's normal form is solved through sup's, stopping at the
+    first that has no integer solution; no matrix of coordinates is built.
     """
     if sub.dim != sup.dim:
         raise MatrixError("dimension mismatch")
-    h, g, n = sup.hnf.entries, sub.hnf.entries, sub.dim
-    for i in range(n):
-        if g[i][i] % h[i][i]:
-            return False
-    for j, r in enumerate(map(list, zip(*g))):
-        for i in range(j, n):
-            if r[i]:
-                c, rem = divmod(r[i], h[i][i])
-                if rem:
-                    return False
-                for k in range(i + 1, n):
-                    r[k] -= c * h[k][i]
-    return True
+    return all(solve_triangular(sup.hnf, c) is not None for c in zip(*sub.hnf.entries))
 
 
 def lattice_index(sup: LatticeBasis, sub: LatticeBasis) -> int:
@@ -324,15 +310,9 @@ def lattice_index(sup: LatticeBasis, sub: LatticeBasis) -> int:
 
 
 def lattice_sum(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
-    """Smallest lattice containing both summands.
-
-    When one summand contains the other, one inclusion test answers: the sum
-    is the containing one.  Otherwise the stacked columns are reduced.
-    """
-    if is_sublattice(a, b):
-        return LatticeBasis._from_hnf(b.hnf)
-    if is_sublattice(b, a):
-        return LatticeBasis._from_hnf(a.hnf)
+    """Smallest lattice containing both summands."""
+    if a.dim != b.dim:
+        raise MatrixError("dimension mismatch")
     cols = [list(c) for m in (a.hnf, b.hnf) for c in zip(*m.entries)]
     return LatticeBasis._from_hnf(_column_hnf(cols))
 

@@ -505,8 +505,9 @@ def random_hnf(rng, n, diagonal):
 
 
 class TestNestedShortcuts:
-    """`lattice_intersect` and `lattice_sum` answer nested operands with one
-    inclusion test; the oracles below take no shortcut."""
+    """`lattice_intersect` answers nested operands with one inclusion test;
+    the oracles below take no shortcut, and `lattice_sum` is checked on the
+    same pairs."""
 
     def test_closed_form_grid_matches_the_oracles(self):
         pairs = nested = 0
@@ -544,7 +545,7 @@ class TestNestedShortcuts:
         for _ in range(3000):
             n = rng.randint(1, 5)
             sup_diag = [rng.choice((1, 2, 3, 4, 6)) for _ in range(n)]
-            # Every pair passes the pivot test, so the substitution decides.
+            # The pivots of sup divide those of sub, so the entries below decide.
             sub_diag = [x * rng.choice((1, 1, 2, 3, 5)) for x in sup_diag]
             sup, sub = random_hnf(rng, n, sup_diag), random_hnf(rng, n, sub_diag)
             if rng.random() < 0.2:
