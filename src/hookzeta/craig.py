@@ -714,13 +714,14 @@ def enumerate_p_sublattices(
 #
 # Sublattices of index m correspond one to one to canonical lower-triangular
 # bases H: positive diagonal with product m, off-diagonal entries H[i][j]
-# (j < i) reduced into [0, H[i][i]).  The census walks every such H and keeps
-# the stable ones.  H is stable when each generator image of each column
-# forward-substitutes to zero: row r of the residual must be divisible by
-# H[r][r], and the quotient times column r is subtracted.  Images are taken
-# under the sparse A - cI of `_conjugated_action`.  A residual is held as
-# (generator, column, quotients, next row) and its rows are read off the
-# columns on demand, so no residual is copied or undone.
+# (j < i) reduced into [0, H[i][i]).  The census walks every such H whose
+# diagonal passes the two pivot bounds below, and keeps the stable ones.  H is
+# stable when each generator image of each column forward-substitutes to
+# zero: row r of the residual must be divisible by H[r][r], and the quotient
+# times column r is subtracted.  Images are taken under the sparse A - cI of
+# `_conjugated_action`.  A residual is held as (generator, column, quotients,
+# next row) and its rows are read off the columns on demand, so no residual is
+# copied or undone.
 #
 # The walk fills column t one entry at a time, in row order, and checks each
 # residual row as soon as every entry it reads is chosen; the first failing
@@ -755,16 +756,116 @@ def enumerate_p_sublattices(
 # inverse is N -> N + p^k Y).  So X's layer is the intersections of Y's, and
 # L(d) and L(d') that agree at p share one walked layer: the benchmark's
 # census grid (n = 3 and 5, every d | n+1) walks 166 of its 450 layers.
+#
+# Two pivot bounds reject a diagonal shape (e_0, ..., e_{n-1}), H[i][i] =
+# p^e_i, before any of its columns is filled.  Both hold for every stable N of
+# index p^k, written in the lattice's coordinates, where each generator is
+# cI + S with S integral and N is closed under every S:
+#
+# * column bound, e_i <= e_{n-1} + v_p(C_ii): N's last column is
+#   p^e_{n-1} u_{n-1}, so N holds p^e_{n-1} C, for C the smallest lattice that
+#   holds u_{n-1} and is closed under every S.  A lattice inside another is
+#   the other's triangular basis times a triangular integer matrix, so its
+#   pivots are multiples of the other's: p^e_i divides p^e_{n-1} C_ii;
+# * row bound, e_i >= e_0 - v_p(rho_i): row 0 of H is (p^e_0, 0, ..., 0), so
+#   every functional of R maps N into p^e_0 Z, for R the smallest lattice of
+#   row vectors that holds u_0^* and is closed under f -> f S.  With R's
+#   lower-triangular row basis, R H is lower triangular with diagonal
+#   rho_i p^e_i, and every entry of it is divisible by p^e_0.
+#
+# C and R do not depend on p, so their pivots are computed once per
+# (lattice, generators).  Each is spun from its start vector: every map is
+# applied once to each vector that enlarged the span modulo one large prime
+# (`_rref_insert`), until the rank is full, and the integer span of those
+# vectors is then closed exactly, testing only the images of the vectors each
+# round adds.  A span of rank below n bounds nothing, and its side rejects no
+# shape.  On the benchmark's census grid the walk tries 518 of its 2024 shapes.
 # ---------------------------------------------------------------------------
 
+# A rank modulo a prime is at most the rational rank, so a full rank modulo
+# this one is a full rank over Q; a rank it loses only costs that side's bound.
+_SPIN_PRIME = (1 << 61) - 1
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
+
+def _spin_pivots(maps, n: int) -> tuple[int, ...] | None:
+    """Pivots of the lower-triangular basis of the smallest lattice that holds
+    u_{n-1} and that each sparse map (rows (r, ((j, a), ...))) sends into
+    itself, or None when its rank is below n."""
+
+    def images(v):
+        for rows in maps:
+            w = [0] * n
+            for r, row in rows:
+                w[r] = sum(a * v[j] for j, a in row)
+            yield w
+
+    start = [0] * (n - 1) + [1]
+    echelon: dict[int, list[int]] = {}
+    _rref_insert(echelon, start, _SPIN_PRIME, n)
+    found = [start]
+    for v in found:
+        if len(echelon) == n:
+            break
+        found += [w for w in images(v) if any(_rref_insert(echelon, w, _SPIN_PRIME, n))]
+    if len(echelon) < n:
+        return None
+    h = hnf(IntMatrix.from_columns(found))
+    added = list(zip(*h.entries))
+    while added:
+        added = [w for v in added for w in images(v) if solve_triangular(h, w) is None]
+        if added:
+            h = hnf(IntMatrix.from_columns(list(zip(*h.entries)) + added))
+    return tuple(h.entries[i][i] for i in range(n))
+
+
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
+def _shape_pivots(lattice: LatticeBasis, gens) -> tuple:
+    """The pivots (C_ii) and (rho_i) of the section comment's bounds, each None
+    when its span is rank-deficient.  The row spin runs in reversed
+    coordinates, under J S^T J, so that its start is u_{n-1} too and R's
+    lower-triangular row basis is a lower-triangular column basis."""
+    n = lattice.dim
+    maps = [terms for _, terms in _conjugated_action(lattice, gens)]
+    flipped = []
+    for terms in maps:
+        rows: dict[int, list] = {}
+        for r, row in terms:
+            for j, a in row:
+                rows.setdefault(n - 1 - j, []).append((n - 1 - r, a))
+        flipped.append(tuple(rows.items()))
+    row = _spin_pivots(flipped, n)
+    return _spin_pivots(maps, n), row and row[::-1]
+
+
+def _compositions(total: int, up, down):
+    """The shapes (e_0, ..., e_{n-1}) of sum total, n = len(up), in
+    lexicographic order, with e_i <= e_{n-1} + up[i] and e_i >= e_0 - down[i].
+
+    A prefix is cut as soon as the parts after it cannot meet their lower
+    bounds, which only grow with the part being chosen.
+    """
+    n = len(up)
+    if n == 1:
         yield (total,)
         return
+
+    def fill(shape, left, lo, tail, need):
+        i = len(shape)
+        if i == n - 1:
+            yield shape + (left,)
+            return
+        for e in range(lo[i], left + 1):
+            after = max(need, e - up[i])
+            if left - e < tail[i + 1] + max(after, lo[-1]):
+                break
+            yield from fill(shape + (e,), left - e, lo, tail, after)
+
     for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        lo = [head] + [max(0, head - d) for d in down[1:]]
+        tail = [sum(lo[i:-1]) for i in range(n)]
+        if total - head < tail[1] + max(head - up[0], lo[-1]):
+            break
+        yield from fill((head,), total - head, lo, tail, head - up[0])
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
@@ -796,7 +897,9 @@ def _census_walk(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeBa
     generator the walk keeps the rows of A - cI by index, the entry of a
     column after which each image row is known (the row itself at least, for
     the quotient of row t times the entry), and bit masks of the nonzero rows
-    and of the columns read.
+    and of the columns read.  Only the diagonal shapes that pass both pivot
+    bounds of `_shape_pivots` are walked: e_i <= e_{n-1} + v_p(C_ii) and
+    e_i >= e_0 - v_p(rho_i); no other shape holds a stable sublattice.
     """
     n = lattice.dim
     rows_of, ready_of, busy_of, reads_of = [], [], [], []
@@ -811,8 +914,11 @@ def _census_walk(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeBa
     gen_ids = range(len(rows_of))
     rowwise = range(n)  # a waiting residual's row r is known with entry r
     results: list[tuple] = []
+    column_pivots, row_pivots = _shape_pivots(lattice, gens)
+    up = [valuation(c, p) for c in column_pivots] if column_pivots else [k] * n
+    down = [valuation(r, p) for r in row_pivots] if row_pivots else [k] * n
 
-    for shape in _compositions(k, n):
+    for shape in _compositions(k, up, down):
         diag = [p**e for e in shape]
         free = sum(1 << r for r, e in enumerate(shape) if e)
         # The entry after row i that has more than one value (n: none).

@@ -1,6 +1,7 @@
 import random
 from functools import reduce
 from itertools import combinations, product
+from math import comb
 from operator import mul
 
 import pytest
@@ -37,6 +38,7 @@ from hookzeta.exactmat import (
     lattice_index,
     lattice_intersect,
     lattice_sum,
+    solve_in_lattice,
     solve_triangular,
 )
 from hookzeta.specht import RepGenerators, craig_generators, specht_generators_closed
@@ -199,6 +201,29 @@ def enumerate_index_sublattices_naive(lattice, gens, m):
         ):
             out.append(LatticeBasis(IntMatrix.from_columns(cols)))
     return sorted(out, key=LatticeBasis.key)
+
+
+def assert_within_pivot_bounds(lattice, gens, subs):
+    """Each stable sublattice's diagonal d in the lattice's coordinates meets the
+    census's pivot bounds at every prime: d_i divides d_{n-1} C_ii and d_0
+    divides rho_i d_i; a side whose spin is rank-deficient bounds nothing.
+    Returns which sides bound."""
+    col, row = craig._shape_pivots(lattice, gens)
+    n = lattice.dim
+    for sub in subs:
+        t = solve_in_lattice(lattice.hnf, sub.hnf)
+        d = [t[i, i] for i in range(n)]
+        assert all(d[-1] * c % x == 0 for x, c in zip(d, col or ())), (sub, col)
+        assert all(r * x % d[0] == 0 for x, r in zip(d, row or ())), (sub, row)
+    return col is not None, row is not None
+
+
+def is_upper_triangular(gens):
+    return not any(any(row[:i]) for m in gens.mats for i, row in enumerate(m.entries))
+
+
+def transposed(gens):
+    return RepGenerators(gens.n, tuple(IntMatrix.from_columns(m.entries) for m in gens.mats))
 
 
 def mat_mul_mod(a, b, p):
@@ -975,23 +1000,32 @@ class TestIndexCensus:
                     fast = enumerate_index_sublattices(lat, gens, m)
                     slow = enumerate_index_sublattices_naive(lat, gens, m)
                     assert fast == slow, (n, d, m)
+                    assert assert_within_pivot_bounds(lat, gens, slow) == (True, True)
 
     def test_matches_naive_census_under_integer_actions(self):
         # Z^n is stable under every integer matrix, so any family has a census.
         # The naive census of Z^4 passes a second at m = 16, so n = 4 stops at 8.
-        rng = random.Random(12)
-        families = [gens for n in (2, 3) for gens in integer_families(rng, n)]
+        # The transposes of the triangular families fix u_{n-1} and u_0^*, so
+        # both spins of the pivot bounds stay rank-deficient on them.
+        families = []
+        for seed in range(12, 16):
+            rng = random.Random(seed)
+            families += [gens for n in (2, 3) for gens in integer_families(rng, n)]
+        families += [transposed(gens) for gens in families if is_upper_triangular(gens)]
         families += [specht_generators_closed(n) for n in (2, 3, 4)]
-        found = 0
+        found, sides = 0, set()
         for gens in families:
             lat = LatticeBasis(IntMatrix.identity(gens.n))
             action = tuple(a.entries for a in gens.mats)
             assert_shifted_form(action, craig._shifted_terms(action))
             for m in range(1, 17 if gens.n < 4 else 9):
                 fast = enumerate_index_sublattices(lat, gens, m)
-                assert fast == enumerate_index_sublattices_naive(lat, gens, m), (gens, m)
+                slow = enumerate_index_sublattices_naive(lat, gens, m)
+                assert fast == slow, (gens, m)
+                sides.add(assert_within_pivot_bounds(lat, gens, slow))
                 found += len(fast)
         assert found > 100
+        assert {(True, True), (False, False)} <= sides
 
     # At p^2 and above the walk solves entries from congruences: a residual of an
     # earlier column waiting at the entry's column, and the column's own image
@@ -1007,7 +1041,9 @@ class TestIndexCensus:
         for gens in integer_families(random.Random(seed), n):
             for m in ms:
                 fast = enumerate_index_sublattices(lat, gens, m)
-                assert fast == enumerate_index_sublattices_naive(lat, gens, m), (gens, m)
+                slow = enumerate_index_sublattices_naive(lat, gens, m)
+                assert fast == slow, (gens, m)
+                assert_within_pivot_bounds(lat, gens, slow)
 
     @pytest.mark.parametrize("m", [25, 49])
     def test_matches_naive_census_of_l1_at_odd_prime_squares(self, m):
@@ -1121,3 +1157,26 @@ class TestIndexCensus:
         assert on.pop(2) == {1, 2}
         assert on.pop(3) == {1, 3}
         assert on and all(ds == {1} for ds in on.values())
+
+    def test_census_grid_walks_518_of_2024_shapes(self, monkeypatch):
+        # The benchmark's census grid walks 166 layers.  Of their 2024 diagonal
+        # shapes, the pivot bounds leave 518; dropping either bound, or
+        # weakening or misreading one, changes this count.
+        craig._census_layer.cache_clear()
+        layers, walked = [], []
+        real = craig._compositions
+
+        def counted(total, up, down):
+            layers.append(comb(total + len(up) - 1, len(up) - 1))
+            for shape in real(total, up, down):
+                walked.append(shape)
+                yield shape
+
+        monkeypatch.setattr(craig, "_compositions", counted)
+        for n, limit in ((3, 500), (5, 64)):
+            gens = craig_generators(n)
+            for d in divisors(n + 1):
+                lat = craig_lattice(n, d).basis
+                for m in range(1, limit + 1):
+                    enumerate_index_sublattices(lat, gens, m)
+        assert (len(layers), sum(layers), len(walked)) == (166, 2024, 518)
