@@ -758,27 +758,29 @@ def enumerate_p_sublattices(
 # census grid (n = 3 and 5, every d | n+1) walks 166 of its 450 layers.
 #
 # Two pivot bounds reject a diagonal shape (e_0, ..., e_{n-1}), H[i][i] =
-# p^e_i, before any of its columns is filled.  Both hold for every stable N of
-# index p^k, written in the lattice's coordinates, where each generator is
-# cI + S with S integral and N is closed under every S:
+# p^e_i, before any of its columns is filled.  Write each generator, in the
+# lattice's coordinates, as cI + S with S integral; a stable N of index p^k is
+# closed under every S.  Spin u_{n-1} under the maps S and u_0^* under the
+# maps f -> f S: every map is applied once to each vector that enlarged the
+# span modulo one large prime (`_rref_insert`), until the rank is full.  C'
+# is the lattice the spun columns span and R' the lattice of the spun rows.
+# Both bounds hold for every stable N:
 #
-# * column bound, e_i <= e_{n-1} + v_p(C_ii): N's last column is
-#   p^e_{n-1} u_{n-1}, so N holds p^e_{n-1} C, for C the smallest lattice that
-#   holds u_{n-1} and is closed under every S.  A lattice inside another is
+# * column bound, e_i <= e_{n-1} + v_p(C'_ii): N's last column is
+#   p^e_{n-1} u_{n-1}, so N holds p^e_{n-1} C'.  A lattice inside another is
 #   the other's triangular basis times a triangular integer matrix, so its
-#   pivots are multiples of the other's: p^e_i divides p^e_{n-1} C_ii;
+#   pivots are multiples of the other's: p^e_i divides p^e_{n-1} C'_ii;
 # * row bound, e_i >= e_0 - v_p(rho_i): row 0 of H is (p^e_0, 0, ..., 0), so
-#   every functional of R maps N into p^e_0 Z, for R the smallest lattice of
-#   row vectors that holds u_0^* and is closed under f -> f S.  With R's
-#   lower-triangular row basis, R H is lower triangular with diagonal
+#   u_0^* maps N into p^e_0 Z, and so does every functional of R'.  With R''s
+#   lower-triangular row basis, R' H is lower triangular with diagonal
 #   rho_i p^e_i, and every entry of it is divisible by p^e_0.
 #
-# C and R do not depend on p, so their pivots are computed once per
-# (lattice, generators).  Each is spun from its start vector: every map is
-# applied once to each vector that enlarged the span modulo one large prime
-# (`_rref_insert`), until the rank is full, and the integer span of those
-# vectors is then closed exactly, testing only the images of the vectors each
-# round adds.  A span of rank below n bounds nothing, and its side rejects no
+# C' and R' lie in the smallest lattices C and R that hold the start vectors
+# and are closed under the maps, so their bounds are no stronger than C's and
+# R's.  On the L(d) families and on every p-local lattice the census grid
+# walks, C' = C and R' = R; the tests check it against the exact closure.
+# Neither depends on p, so the pivots are computed once per (lattice,
+# generators).  A span of rank below n bounds nothing, and its side rejects no
 # shape.  On the benchmark's census grid the walk tries 518 of its 2024 shapes.
 # ---------------------------------------------------------------------------
 
@@ -788,9 +790,9 @@ _SPIN_PRIME = (1 << 61) - 1
 
 
 def _spin_pivots(maps, n: int) -> tuple[int, ...] | None:
-    """Pivots of the lower-triangular basis of the smallest lattice that holds
-    u_{n-1} and that each sparse map (rows (r, ((j, a), ...))) sends into
-    itself, or None when its rank is below n."""
+    """Pivots of the lower-triangular basis of the lattice spanned by u_{n-1}
+    spun under the sparse maps (rows (r, ((j, a), ...))), as the section
+    comment describes, or None when its rank is below n."""
 
     def images(v):
         for rows in maps:
@@ -810,19 +812,14 @@ def _spin_pivots(maps, n: int) -> tuple[int, ...] | None:
     if len(echelon) < n:
         return None
     h = hnf(IntMatrix.from_columns(found))
-    added = list(zip(*h.entries))
-    while added:
-        added = [w for v in added for w in images(v) if solve_triangular(h, w) is None]
-        if added:
-            h = hnf(IntMatrix.from_columns(list(zip(*h.entries)) + added))
     return tuple(h.entries[i][i] for i in range(n))
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
 def _shape_pivots(lattice: LatticeBasis, gens) -> tuple:
-    """The pivots (C_ii) and (rho_i) of the section comment's bounds, each None
+    """The pivots (C'_ii) and (rho_i) of the section comment's bounds, each None
     when its span is rank-deficient.  The row spin runs in reversed
-    coordinates, under J S^T J, so that its start is u_{n-1} too and R's
+    coordinates, under J S^T J, so that its start is u_{n-1} too and R''s
     lower-triangular row basis is a lower-triangular column basis."""
     n = lattice.dim
     maps = [terms for _, terms in _conjugated_action(lattice, gens)]
@@ -839,7 +836,8 @@ def _shape_pivots(lattice: LatticeBasis, gens) -> tuple:
 
 def _compositions(total: int, up, down):
     """The shapes (e_0, ..., e_{n-1}) of sum total, n = len(up), in
-    lexicographic order, with e_i <= e_{n-1} + up[i] and e_i >= e_0 - down[i].
+    lexicographic order, with e_i <= e_{n-1} + up[i] and e_i >= e_0 - down[i]:
+    the section comment's pivot bounds.
 
     A prefix is cut as soon as the parts after it cannot meet their lower
     bounds, which only grow with the part being chosen.
@@ -897,9 +895,8 @@ def _census_walk(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeBa
     generator the walk keeps the rows of A - cI by index, the entry of a
     column after which each image row is known (the row itself at least, for
     the quotient of row t times the entry), and bit masks of the nonzero rows
-    and of the columns read.  Only the diagonal shapes that pass both pivot
-    bounds of `_shape_pivots` are walked: e_i <= e_{n-1} + v_p(C_ii) and
-    e_i >= e_0 - v_p(rho_i); no other shape holds a stable sublattice.
+    and of the columns read.  Only the diagonal shapes that pass the section
+    comment's pivot bounds are walked.
     """
     n = lattice.dim
     rows_of, ready_of, busy_of, reads_of = [], [], [], []

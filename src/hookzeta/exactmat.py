@@ -371,12 +371,18 @@ def _int_from_json(x) -> int:
 
 
 def matrix_from_json(obj) -> IntMatrix:
-    """Read the wire format; entries are integers or decimal-integer strings."""
+    """Read the wire format: integer rows and cols, and a list of entry rows,
+    each a list of integers or decimal-integer strings."""
     try:
-        rows, cols = obj["rows"], obj["cols"]
-        m = IntMatrix([[_int_from_json(x) for x in row] for row in obj["entries"]])
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        # Exact types: a bool is no size, and a string or object row would
+        # otherwise be read one character or key at a time.
+        if not (type(rows) is type(cols) is int and type(entries) is list
+                and all(type(row) is list for row in entries)):
+            raise TypeError
+        m = IntMatrix([[_int_from_json(x) for x in row] for row in entries])
     except (TypeError, KeyError):
-        raise MatrixError("a matrix is an object with rows, cols and entry rows") from None
+        raise MatrixError("a matrix is an object with integer rows, cols and entry rows") from None
     if (m.rows, m.cols) != (rows, cols):
         raise MatrixError("declared shape does not match entries")
     return m

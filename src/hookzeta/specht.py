@@ -288,9 +288,9 @@ def intertwiner(a: RepGenerators, b: RepGenerators) -> IntMatrix:
     for x in sol:
         den = den * x.denominator // gcd(den, x.denominator)
     ints = [x.numerator * (den // x.denominator) for x in sol]
+    # The first nonzero entry is positive: a row reads no unknown past its
+    # pivot, so every unknown before the free one is 0, and P[free] = 1.
     g = content(ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
     p = IntMatrix([[x // g for x in ints[i * n : (i + 1) * n]] for i in range(n)])
     _intertwines(a, b, p)
     return p

@@ -415,6 +415,11 @@ class TestIdentifyCommand:
             # well-formed matrices that span no lattice: bad input, not a failed identification
             {"rows": 2, "cols": 3, "entries": [[1, 0, 0], [0, 1, 0]]},
             {"rows": 2, "cols": 2, "entries": [[1, 2], [2, 4]]},
+            # rows that are not lists, and a shape that is not integral
+            {"rows": 2, "cols": 2, "entries": ["10", "01"]},
+            {"rows": 2, "cols": 2, "entries": {"10": 0, "01": 0}},
+            {"rows": 2, "cols": 2, "entries": [{"1": 0, "0": 0}, {"0": 0, "1": 0}]},
+            {"rows": 2.0, "cols": 2.0, "entries": [[1, 0], [0, 1]]},
         ],
     )
     def test_malformed_json_exits_two(self, capsys, tmp_path, blob):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from math import comb
@@ -34,6 +35,7 @@ from hookzeta.exactmat import (
     IntMatrix,
     LatticeBasis,
     LatticeError,
+    hnf,
     is_scalar_multiple,
     lattice_index,
     lattice_intersect,
@@ -216,6 +218,52 @@ def assert_within_pivot_bounds(lattice, gens, subs):
         assert all(d[-1] * c % x == 0 for x, c in zip(d, col or ())), (sub, col)
         assert all(r * x % d[0] == 0 for x, r in zip(d, row or ())), (sub, row)
     return col is not None, row is not None
+
+
+def closed_pivots(start, step, n):
+    """The pivots of the lower-triangular basis of the smallest lattice that
+    holds `start` and holds every image `step` gives of its vectors, or None
+    when its rank is below n: spun over Q until the span is full, then closed
+    exactly by adding every image outside the integer span until none is left.
+    The oracle of the census's one-phase pivot spin."""
+    echelon, found, queue = {}, [], [start]
+    for v in queue:
+        w = [Fraction(x) for x in v]
+        for piv in sorted(echelon):
+            w = [x - w[piv] * y for x, y in zip(w, echelon[piv])]
+        piv = next((i for i, x in enumerate(w) if x), None)
+        if piv is not None:
+            echelon[piv] = [x / w[piv] for x in w]
+            found.append(v)
+            queue += step(v)
+    if len(found) < n:
+        return None
+    h = hnf(IntMatrix.from_columns(found))
+    added = list(zip(*h.entries))
+    while added:
+        added = [w for v in added for w in step(v) if solve_triangular(h, w) is None]
+        if added:
+            h = hnf(IntMatrix.from_columns(list(zip(*h.entries)) + added))
+    return tuple(h.entries[i][i] for i in range(n))
+
+
+def closed_shape_pivots(lattice, gens):
+    """`craig._shape_pivots` from the exact closure, under the dense action in
+    the lattice's coordinates: a lattice is closed under A - cI exactly when it
+    is closed under A.  The row lattice is spun in reversed coordinates, so its
+    lower-triangular row basis is a lower-triangular column basis."""
+    n = lattice.dim
+    mats = [action_in_basis(lattice, a).entries for a in gens.mats]
+
+    def columns(v):
+        return [tuple(sum(map(mul, row, v)) for row in m) for m in mats]
+
+    def rows(v):
+        return [tuple(sum(map(mul, col, v[::-1])) for col in zip(*m))[::-1] for m in mats]
+
+    start = (0,) * (n - 1) + (1,)
+    row = closed_pivots(start, rows, n)
+    return closed_pivots(start, columns, n), row and row[::-1]
 
 
 def is_upper_triangular(gens):
@@ -1013,6 +1061,7 @@ class TestIndexCensus:
             families += [gens for n in (2, 3) for gens in integer_families(rng, n)]
         families += [transposed(gens) for gens in families if is_upper_triangular(gens)]
         families += [specht_generators_closed(n) for n in (2, 3, 4)]
+        families.append(RepGenerators(1, (IntMatrix([[-1]]),)))
         found, sides = 0, set()
         for gens in families:
             lat = LatticeBasis(IntMatrix.identity(gens.n))
@@ -1022,6 +1071,8 @@ class TestIndexCensus:
                 fast = enumerate_index_sublattices(lat, gens, m)
                 slow = enumerate_index_sublattices_naive(lat, gens, m)
                 assert fast == slow, (gens, m)
+                if gens.n == 1:
+                    assert fast == [LatticeBasis(IntMatrix([[m]]))]
                 sides.add(assert_within_pivot_bounds(lat, gens, slow))
                 found += len(fast)
         assert found > 100
@@ -1180,3 +1231,29 @@ class TestIndexCensus:
                 for m in range(1, limit + 1):
                     enumerate_index_sublattices(lat, gens, m)
         assert (len(layers), sum(layers), len(walked)) == (166, 2024, 518)
+
+    def test_spun_pivots_equal_the_exact_closure(self, monkeypatch):
+        # The census spins each pivot lattice only to full rank; on the L(d)
+        # families and on every p-local lattice the census grid walks, that
+        # span is already closed, so the bounds are as strong as the closure's.
+        cases = [(craig_lattice(n, d).basis, craig_generators(n))
+                 for n in range(2, 13) for d in divisors(n + 1)]
+        cases += [(LatticeBasis(IntMatrix.identity(n)), specht_generators_closed(n))
+                  for n in range(2, 13)]
+        craig._census_layer.cache_clear()
+        walked = []
+        real = craig._census_walk
+
+        def counted(lattice, gens, p, k):
+            walked.append((lattice, gens))
+            return real(lattice, gens, p, k)
+
+        monkeypatch.setattr(craig, "_census_walk", counted)
+        for n, limit in ((3, 500), (5, 64)):
+            gens = craig_generators(n)
+            for d in divisors(n + 1):
+                for m in range(1, limit + 1):
+                    enumerate_index_sublattices(craig_lattice(n, d).basis, gens, m)
+        assert len(walked) == 166
+        for lattice, gens in dict.fromkeys(cases + walked):
+            assert craig._shape_pivots(lattice, gens) == closed_shape_pivots(lattice, gens)
