@@ -715,7 +715,7 @@ def enumerate_p_sublattices(
 # Sublattices of index m correspond one to one to canonical lower-triangular
 # bases H: positive diagonal with product m, off-diagonal entries H[i][j]
 # (j < i) reduced into [0, H[i][i]).  The census walks every such H whose
-# diagonal passes the two pivot bounds below, and keeps the stable ones.  H is
+# diagonal meets the difference constraints below, and keeps the stable ones.  H is
 # stable when each generator image of each column forward-substitutes to
 # zero: row r of the residual must be divisible by H[r][r], and the quotient
 # times column r is subtracted.  Images are taken under the sparse A - cI of
@@ -757,113 +757,45 @@ def enumerate_p_sublattices(
 # L(d) and L(d') that agree at p share one walked layer: the benchmark's
 # census grid (n = 3 and 5, every d | n+1) walks 166 of its 450 layers.
 #
-# Two pivot bounds reject a diagonal shape (e_0, ..., e_{n-1}), H[i][i] =
-# p^e_i, before any of its columns is filled.  Write each generator, in the
+# Difference constraints reject a diagonal shape (e_0, ..., e_{n-1}), H[i][i]
+# = p^e_i, before any of its columns is filled.  Write each generator, in the
 # lattice's coordinates, as cI + S with S integral; a stable N of index p^k is
-# closed under every S.  Spin u_{n-1} under the maps S and u_0^* under the
-# maps f -> f S: every map is applied once to each vector that enlarged the
-# span modulo one large prime (`_rref_insert`), until the rank is full.  C'
-# is the lattice the spun columns span and R' the lattice of the spun rows.
-# Both bounds hold for every stable N:
-#
-# * column bound, e_i <= e_{n-1} + v_p(C'_ii): N's last column is
-#   p^e_{n-1} u_{n-1}, so N holds p^e_{n-1} C'.  A lattice inside another is
-#   the other's triangular basis times a triangular integer matrix, so its
-#   pivots are multiples of the other's: p^e_i divides p^e_{n-1} C'_ii;
-# * row bound, e_i >= e_0 - v_p(rho_i): row 0 of H is (p^e_0, 0, ..., 0), so
-#   u_0^* maps N into p^e_0 Z, and so does every functional of R'.  With R''s
-#   lower-triangular row basis, R' H is lower triangular with diagonal
-#   rho_i p^e_i, and every entry of it is divisible by p^e_0.
-#
-# C' and R' lie in the smallest lattices C and R that hold the start vectors
-# and are closed under the maps, so their bounds are no stronger than C's and
-# R's.  On the L(d) families and on every p-local lattice the census grid
-# walks, C' = C and R' = R; the tests check it against the exact closure.
-# Neither depends on p, so the pivots are computed once per (lattice,
-# generators).  A span of rank below n bounds nothing, and its side rejects no
-# shape.  On the benchmark's census grid the walk tries 518 of its 2024 shapes.
+# closed under every S.  Fix a generator and a column t, and let r != t be the
+# first row of S that reads any column >= t.  If t is the only such column row
+# r reads, with coefficient a, every stable N of shape e has
+# e_r <= e_t + v_p(a): column t of H is zero above row t, so the rows above r
+# of S times column t are 0 and have zero quotients, and row r is a p^e_t,
+# which H[r][r] = p^e_r must divide.  The constraints are closed once per walk
+# by shortest paths, and the shapes are listed under them: on the benchmark's
+# census grid the walk tries 397 of its 2024 shapes.
 # ---------------------------------------------------------------------------
 
-# A rank modulo a prime is at most the rational rank, so a full rank modulo
-# this one is a full rank over Q; a rank it loses only costs that side's bound.
-_SPIN_PRIME = (1 << 61) - 1
 
+def _compositions(total: int, n: int, bound):
+    """The shapes (e_0, ..., e_{n-1}) of sum total with e_r - e_t <=
+    bound[r][t], in lexicographic order; bound holds the closed constraints
+    of the section comment.
 
-def _spin_pivots(maps, n: int) -> tuple[int, ...] | None:
-    """Pivots of the lower-triangular basis of the lattice spanned by u_{n-1}
-    spun under the sparse maps (rows (r, ((j, a), ...))), as the section
-    comment describes, or None when its rank is below n."""
-
-    def images(v):
-        for rows in maps:
-            w = [0] * n
-            for r, row in rows:
-                w[r] = sum(a * v[j] for j, a in row)
-            yield w
-
-    start = [0] * (n - 1) + [1]
-    echelon: dict[int, list[int]] = {}
-    _rref_insert(echelon, start, _SPIN_PRIME, n)
-    found = [start]
-    for v in found:
-        if len(echelon) == n:
-            break
-        found += [w for w in images(v) if any(_rref_insert(echelon, w, _SPIN_PRIME, n))]
-    if len(echelon) < n:
-        return None
-    h = hnf(IntMatrix.from_columns(found))
-    return tuple(h.entries[i][i] for i in range(n))
-
-
-@lru_cache(maxsize=_LAYER_CACHE_SIZE)
-def _shape_pivots(lattice: LatticeBasis, gens) -> tuple:
-    """The pivots (C'_ii) and (rho_i) of the section comment's bounds, each None
-    when its span is rank-deficient.  The row spin runs in reversed
-    coordinates, under J S^T J, so that its start is u_{n-1} too and R''s
-    lower-triangular row basis is a lower-triangular column basis."""
-    n = lattice.dim
-    maps = [terms for _, terms in _conjugated_action(lattice, gens)]
-    flipped = []
-    for terms in maps:
-        rows: dict[int, list] = {}
-        for r, row in terms:
-            for j, a in row:
-                rows.setdefault(n - 1 - j, []).append((n - 1 - r, a))
-        flipped.append(tuple(rows.items()))
-    row = _spin_pivots(flipped, n)
-    return _spin_pivots(maps, n), row and row[::-1]
-
-
-def _compositions(total: int, up, down):
-    """The shapes (e_0, ..., e_{n-1}) of sum total, n = len(up), in
-    lexicographic order, with e_i <= e_{n-1} + up[i] and e_i >= e_0 - down[i]:
-    the section comment's pivot bounds.
-
-    A prefix is cut as soon as the parts after it cannot meet their lower
-    bounds, which only grow with the part being chosen.
+    A prefix is cut as soon as a part breaks a bound, or the parts left cannot
+    meet the lower and upper bounds the chosen ones force.
     """
-    n = len(up)
-    if n == 1:
-        yield (total,)
-        return
 
-    def fill(shape, left, lo, tail, need):
+    def fill(shape, left, lo, hi):
+        # lo[j] and hi[j] bound part i + j, from the parts chosen before i.
         i = len(shape)
         if i == n - 1:
             yield shape + (left,)
             return
-        for e in range(lo[i], left + 1):
-            after = max(need, e - up[i])
-            if left - e < tail[i + 1] + max(after, lo[-1]):
+        later = range(i + 1, n)
+        for e in range(lo[0], min(hi[0], left) + 1):
+            low = [max(x, e - bound[i][j]) for x, j in zip(lo[1:], later)]
+            if sum(low) > left - e:
                 break
-            yield from fill(shape + (e,), left - e, lo, tail, after)
+            high = [min(x, e + bound[j][i]) for x, j in zip(hi[1:], later)]
+            if left - e <= sum(high):
+                yield from fill(shape + (e,), left - e, low, high)
 
-    for head in range(total + 1):
-        lo = [head] + [max(0, head - d) for d in down[1:]]
-        tail = [sum(lo[i:-1]) for i in range(n)]
-        if total - head < tail[1] + max(head - up[0], lo[-1]):
-            break
-        yield from fill((head,), total - head, lo, tail, head - up[0])
+    yield from fill((), total, [0] * n, [total] * n)
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)
@@ -895,8 +827,8 @@ def _census_walk(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeBa
     generator the walk keeps the rows of A - cI by index, the entry of a
     column after which each image row is known (the row itself at least, for
     the quotient of row t times the entry), and bit masks of the nonzero rows
-    and of the columns read.  Only the diagonal shapes that pass the section
-    comment's pivot bounds are walked.
+    and of the columns read.  Only the diagonal shapes that meet the section
+    comment's constraints are walked.
     """
     n = lattice.dim
     rows_of, ready_of, busy_of, reads_of = [], [], [], []
@@ -911,11 +843,24 @@ def _census_walk(lattice: LatticeBasis, gens, p: int, k: int) -> tuple[LatticeBa
     gen_ids = range(len(rows_of))
     rowwise = range(n)  # a waiting residual's row r is known with entry r
     results: list[tuple] = []
-    column_pivots, row_pivots = _shape_pivots(lattice, gens)
-    up = [valuation(c, p) for c in column_pivots] if column_pivots else [k] * n
-    down = [valuation(r, p) for r in row_pivots] if row_pivots else [k] * n
+    # The section comment's constraints e_r - e_t <= bound[r][t], closed by
+    # shortest paths; k bounds nothing.  A row's last column t is the only
+    # one >= t that it reads, as its entries are in column order.
+    bound = [[k * (r != t) for t in range(n)] for r in range(n)]
+    for rows in rows_of:
+        top = -1
+        for r, row in enumerate(rows):
+            if row:
+                t, a = row[-1]
+                if top < t != r:
+                    bound[r][t] = min(bound[r][t], valuation(a, p))
+                top = max(top, t)
+    for m, via in enumerate(bound):
+        for r, row in enumerate(bound):
+            if row[m] < k:
+                bound[r] = [min(x, row[m] + y) for x, y in zip(row, via)]
 
-    for shape in _compositions(k, up, down):
+    for shape in _compositions(k, n, bound):
         diag = [p**e for e in shape]
         free = sum(1 << r for r, e in enumerate(shape) if e)
         # The entry after row i that has more than one value (n: none).

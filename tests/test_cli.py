@@ -88,6 +88,33 @@ class TestZetaContract:
                             assert 1 <= len(factor["terms"]) <= v + 1, (argv, p)
 
 
+class TestEnumerateOracleContract:
+    """`enumerate --oracle` answers quickly at the corners of its bounds: at
+    each p, the largest n the spinning bound accepts and the largest such n
+    with p | n+1, every d | n+1, at the largest exponent the oracle accepts."""
+
+    @staticmethod
+    def corners():
+        for p in (2, 3, 5, 7):
+            top = max(e for e in range(10) if p**e <= DEFAULT_BOUNDS.index_enumeration_max)
+            n = max(n for n in range(2, 40) if n**3 * (n + p) <= DEFAULT_BOUNDS.spinning_max_order)
+            for m in dict.fromkeys((n, next(m for m in range(n, 1, -1) if (m + 1) % p == 0))):
+                for d in range(1, m + 2):
+                    if (m + 1) % d == 0:
+                        yield m, d, p, top
+
+    def test_answered_at_every_corner(self, capsys, time_limit):
+        cases = list(self.corners())
+        assert (31, 32, 2, 8) in cases and (27, 28, 7, 3) in cases and len(cases) == 34
+        for n, d, p, top in cases:
+            argv = ["enumerate", "--n", str(n), "--d", str(d), "--prime", str(p),
+                    "--max-exp", str(top), "--oracle"]
+            with time_limit(5):
+                code, _, err = run(capsys, *argv)
+            assert code == 0, argv
+            assert "Traceback" not in err, argv
+
+
 class TestCoeffsCommand:
     def test_table(self, capsys):
         code, out, _ = run(capsys, "coeffs", "--n", "2", "--d", "1", "--limit", "12")

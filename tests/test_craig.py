@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from math import comb
@@ -35,7 +34,6 @@ from hookzeta.exactmat import (
     IntMatrix,
     LatticeBasis,
     LatticeError,
-    hnf,
     is_scalar_multiple,
     lattice_index,
     lattice_intersect,
@@ -205,65 +203,26 @@ def enumerate_index_sublattices_naive(lattice, gens, m):
     return sorted(out, key=LatticeBasis.key)
 
 
-def assert_within_pivot_bounds(lattice, gens, subs):
-    """Each stable sublattice's diagonal d in the lattice's coordinates meets the
-    census's pivot bounds at every prime: d_i divides d_{n-1} C_ii and d_0
-    divides rho_i d_i; a side whose spin is rank-deficient bounds nothing.
-    Returns which sides bound."""
-    col, row = craig._shape_pivots(lattice, gens)
+def assert_within_constraints(lattice, gens, subs):
+    """Each stable sublattice's diagonal d in the lattice's coordinates has
+    d_r | a d_t for every constraint (r, t, a) of the census section comment:
+    for each generator cI + S and column t, the first row r != t of S that
+    reads any column >= t, when t is the only one it reads, with coefficient
+    a.  Returns whether any constraint was derived."""
     n = lattice.dim
+    found = []
+    for (c, _), a in zip(craig._conjugated_action(lattice, gens), gens.mats):
+        s = [[x - c * (i == j) for j, x in enumerate(row)]
+             for i, row in enumerate(action_in_basis(lattice, a).entries)]
+        for t in range(n):
+            r = next((r for r in range(n) if any(s[r][t:])), t)
+            if r != t and not any(s[r][t + 1:]):
+                found.append((r, t, s[r][t]))
     for sub in subs:
-        t = solve_in_lattice(lattice.hnf, sub.hnf)
-        d = [t[i, i] for i in range(n)]
-        assert all(d[-1] * c % x == 0 for x, c in zip(d, col or ())), (sub, col)
-        assert all(r * x % d[0] == 0 for x, r in zip(d, row or ())), (sub, row)
-    return col is not None, row is not None
-
-
-def closed_pivots(start, step, n):
-    """The pivots of the lower-triangular basis of the smallest lattice that
-    holds `start` and holds every image `step` gives of its vectors, or None
-    when its rank is below n: spun over Q until the span is full, then closed
-    exactly by adding every image outside the integer span until none is left.
-    The oracle of the census's one-phase pivot spin."""
-    echelon, found, queue = {}, [], [start]
-    for v in queue:
-        w = [Fraction(x) for x in v]
-        for piv in sorted(echelon):
-            w = [x - w[piv] * y for x, y in zip(w, echelon[piv])]
-        piv = next((i for i, x in enumerate(w) if x), None)
-        if piv is not None:
-            echelon[piv] = [x / w[piv] for x in w]
-            found.append(v)
-            queue += step(v)
-    if len(found) < n:
-        return None
-    h = hnf(IntMatrix.from_columns(found))
-    added = list(zip(*h.entries))
-    while added:
-        added = [w for v in added for w in step(v) if solve_triangular(h, w) is None]
-        if added:
-            h = hnf(IntMatrix.from_columns(list(zip(*h.entries)) + added))
-    return tuple(h.entries[i][i] for i in range(n))
-
-
-def closed_shape_pivots(lattice, gens):
-    """`craig._shape_pivots` from the exact closure, under the dense action in
-    the lattice's coordinates: a lattice is closed under A - cI exactly when it
-    is closed under A.  The row lattice is spun in reversed coordinates, so its
-    lower-triangular row basis is a lower-triangular column basis."""
-    n = lattice.dim
-    mats = [action_in_basis(lattice, a).entries for a in gens.mats]
-
-    def columns(v):
-        return [tuple(sum(map(mul, row, v)) for row in m) for m in mats]
-
-    def rows(v):
-        return [tuple(sum(map(mul, col, v[::-1])) for col in zip(*m))[::-1] for m in mats]
-
-    start = (0,) * (n - 1) + (1,)
-    row = closed_pivots(start, rows, n)
-    return closed_pivots(start, columns, n), row and row[::-1]
+        h = solve_in_lattice(lattice.hnf, sub.hnf)
+        d = [h[i, i] for i in range(n)]
+        assert all(a * d[t] % d[r] == 0 for r, t, a in found), (sub, found)
+    return bool(found)
 
 
 def is_upper_triangular(gens):
@@ -1048,13 +1007,12 @@ class TestIndexCensus:
                     fast = enumerate_index_sublattices(lat, gens, m)
                     slow = enumerate_index_sublattices_naive(lat, gens, m)
                     assert fast == slow, (n, d, m)
-                    assert assert_within_pivot_bounds(lat, gens, slow) == (True, True)
+                    assert assert_within_constraints(lat, gens, slow)
 
     def test_matches_naive_census_under_integer_actions(self):
         # Z^n is stable under every integer matrix, so any family has a census.
         # The naive census of Z^4 passes a second at m = 16, so n = 4 stops at 8.
-        # The transposes of the triangular families fix u_{n-1} and u_0^*, so
-        # both spins of the pivot bounds stay rank-deficient on them.
+        # Some of these families derive census shape constraints, some none.
         families = []
         for seed in range(12, 16):
             rng = random.Random(seed)
@@ -1073,10 +1031,10 @@ class TestIndexCensus:
                 assert fast == slow, (gens, m)
                 if gens.n == 1:
                     assert fast == [LatticeBasis(IntMatrix([[m]]))]
-                sides.add(assert_within_pivot_bounds(lat, gens, slow))
+                sides.add(assert_within_constraints(lat, gens, slow))
                 found += len(fast)
         assert found > 100
-        assert {(True, True), (False, False)} <= sides
+        assert sides == {True, False}
 
     # At p^2 and above the walk solves entries from congruences: a residual of an
     # earlier column waiting at the entry's column, and the column's own image
@@ -1094,7 +1052,7 @@ class TestIndexCensus:
                 fast = enumerate_index_sublattices(lat, gens, m)
                 slow = enumerate_index_sublattices_naive(lat, gens, m)
                 assert fast == slow, (gens, m)
-                assert_within_pivot_bounds(lat, gens, slow)
+                assert_within_constraints(lat, gens, slow)
 
     @pytest.mark.parametrize("m", [25, 49])
     def test_matches_naive_census_of_l1_at_odd_prime_squares(self, m):
@@ -1209,17 +1167,17 @@ class TestIndexCensus:
         assert on.pop(3) == {1, 3}
         assert on and all(ds == {1} for ds in on.values())
 
-    def test_census_grid_walks_518_of_2024_shapes(self, monkeypatch):
+    def test_census_grid_walks_397_of_2024_shapes(self, monkeypatch):
         # The benchmark's census grid walks 166 layers.  Of their 2024 diagonal
-        # shapes, the pivot bounds leave 518; dropping either bound, or
+        # shapes, the difference constraints leave 397; dropping them, or
         # weakening or misreading one, changes this count.
         craig._census_layer.cache_clear()
         layers, walked = [], []
         real = craig._compositions
 
-        def counted(total, up, down):
-            layers.append(comb(total + len(up) - 1, len(up) - 1))
-            for shape in real(total, up, down):
+        def counted(total, n, bound):
+            layers.append(comb(total + n - 1, n - 1))
+            for shape in real(total, n, bound):
                 walked.append(shape)
                 yield shape
 
@@ -1230,30 +1188,4 @@ class TestIndexCensus:
                 lat = craig_lattice(n, d).basis
                 for m in range(1, limit + 1):
                     enumerate_index_sublattices(lat, gens, m)
-        assert (len(layers), sum(layers), len(walked)) == (166, 2024, 518)
-
-    def test_spun_pivots_equal_the_exact_closure(self, monkeypatch):
-        # The census spins each pivot lattice only to full rank; on the L(d)
-        # families and on every p-local lattice the census grid walks, that
-        # span is already closed, so the bounds are as strong as the closure's.
-        cases = [(craig_lattice(n, d).basis, craig_generators(n))
-                 for n in range(2, 13) for d in divisors(n + 1)]
-        cases += [(LatticeBasis(IntMatrix.identity(n)), specht_generators_closed(n))
-                  for n in range(2, 13)]
-        craig._census_layer.cache_clear()
-        walked = []
-        real = craig._census_walk
-
-        def counted(lattice, gens, p, k):
-            walked.append((lattice, gens))
-            return real(lattice, gens, p, k)
-
-        monkeypatch.setattr(craig, "_census_walk", counted)
-        for n, limit in ((3, 500), (5, 64)):
-            gens = craig_generators(n)
-            for d in divisors(n + 1):
-                for m in range(1, limit + 1):
-                    enumerate_index_sublattices(craig_lattice(n, d).basis, gens, m)
-        assert len(walked) == 166
-        for lattice, gens in dict.fromkeys(cases + walked):
-            assert craig._shape_pivots(lattice, gens) == closed_shape_pivots(lattice, gens)
+        assert (len(layers), sum(layers), len(walked)) == (166, 2024, 397)
