@@ -10,6 +10,7 @@ from unittest.mock import Mock
 import pytest
 
 from hookzeta import cli, craig, specht, zeta
+from hookzeta.arith import divisors
 from hookzeta.bounds import DEFAULT_BOUNDS, Bounds
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import IntMatrix, matrix_to_json
@@ -95,13 +96,14 @@ class TestEnumerateOracleContract:
 
     @staticmethod
     def corners():
+        bounds = DEFAULT_BOUNDS
         for p in (2, 3, 5, 7):
-            top = max(e for e in range(10) if p**e <= DEFAULT_BOUNDS.index_enumeration_max)
-            n = max(n for n in range(2, 40) if n**3 * (n + p) <= DEFAULT_BOUNDS.spinning_max_order)
-            for m in dict.fromkeys((n, next(m for m in range(n, 1, -1) if (m + 1) % p == 0))):
-                for d in range(1, m + 2):
-                    if (m + 1) % d == 0:
-                        yield m, d, p, top
+            top = max(e for e in range(10) if p**e <= bounds.index_enumeration_max)
+            n = max(n for n in range(2, 40) if n**3 * (n + p) <= bounds.spinning_max_order)
+            local = max(m for m in range(2, n + 1) if (m + 1) % p == 0)
+            for m in sorted({n, local}, reverse=True):
+                for d in divisors(m + 1):
+                    yield m, d, p, top
 
     def test_answered_at_every_corner(self, capsys, time_limit):
         cases = list(self.corners())
