@@ -29,7 +29,6 @@ from .exactmat import (
     LatticeError,
     MatrixError,
     hnf,
-    is_scalar_multiple,
     is_sublattice,
     lattice_index,
     lattice_intersect,
@@ -38,14 +37,11 @@ from .exactmat import (
     matrix_to_json,
 )
 from .specht import (
-    HookTableau,
     RepGenerators,
-    Tabloid,
     closed_intertwiner,
     craig_generators,
     identify_specht_lattice,
     intertwiner,
-    polytabloid,
     specht_generators_closed,
     specht_generators_oracle,
     verify_coxeter,

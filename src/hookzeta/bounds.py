@@ -17,8 +17,7 @@ class ScaleError(RuntimeError):
 @dataclass(frozen=True)
 class Bounds:
     # Largest n at which `verify` and `specht` check the Specht action against
-    # the polytabloid oracle (n terms per polytabloid), and largest n of the
-    # n!-term `polytabloid` expansion.
+    # the polytabloid oracle (n terms per polytabloid).
     polytabloid_max_n: int = 7
     # Largest sublattice index accepted by the exhaustive census.
     index_enumeration_max: int = 500

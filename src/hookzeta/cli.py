@@ -31,7 +31,7 @@ _BOUND_FLAGS = (
         "--bound-oracle-n",
         "polytabloid_max_n",
         "largest n at which verify and specht check the Specht action against the"
-        " polytabloid oracle, and largest n of the n!-term polytabloid expansion",
+        " polytabloid oracle",
     ),
     ("--bound-index", "index_enumeration_max", "largest index m of the exhaustive census"),
     (
@@ -97,6 +97,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.with_lattices and args.format == "text":
+        raise ValueError("--with-lattices needs --format json")
     bounds = _bounds_from_args(args)
     # The bounds come before is_prime; the oracle's loop ends only for p > 1.
     if args.oracle and args.prime > 1:

@@ -36,7 +36,6 @@ from .exactmat import (
     LatticeBasis,
     LatticeError,
     hnf,
-    is_scalar_multiple,
     lattice_intersect,
     lattice_sum,
     solve_in_lattice,
@@ -56,7 +55,6 @@ __all__ = [
     "scaled_radical_interval",
     "identify_stable_lattice",
     "is_g_stable",
-    "action_in_basis",
     "maximal_sublattices_p",
     "rad_p",
     "phi_p",
@@ -195,28 +193,27 @@ def identify_stable_lattice(lattice: LatticeBasis) -> int | None:
 
     L(d) contains e_n, so its content is 1 and its determinant d^(n-1).  A
     lattice c L(d) therefore has content c and determinant c^n d^(n-1), which
-    names the one candidate d; comparing normal forms confirms it.
+    names the one candidate d; comparing c L(d) with the lattice confirms it.
     """
     n = lattice.dim
     c = content(x for row in lattice.hnf.entries for x in row)
     q = lattice.determinant() // c**n
     d = next((d for d in divisors(n + 1) if d ** (n - 1) == q), None)
-    if d is None or is_scalar_multiple(craig_lattice(n, d).basis, lattice) is None:
+    if d is None or craig_lattice(n, d).basis.scale(c) != lattice:
         return None
     return d
 
 
-def action_in_basis(lattice: LatticeBasis, mat: IntMatrix) -> IntMatrix | None:
-    """The matrix of `mat` written in the lattice's basis, or None if the
-    lattice is not invariant."""
-    return solve_in_lattice(lattice.hnf, mat * lattice.hnf)
-
-
 def is_g_stable(lattice: LatticeBasis, gens) -> bool:
-    """True when every generator maps the lattice into itself."""
+    """True when every generator maps the lattice into itself, that is, when
+    `_conjugated_action` can write the generators in the lattice's basis."""
     if gens.n != lattice.dim:
         raise LatticeError("dimension mismatch")
-    return all(action_in_basis(lattice, m) is not None for m in gens.mats)
+    try:
+        _conjugated_action(lattice, gens)
+    except LatticeError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=_LAYER_CACHE_SIZE)

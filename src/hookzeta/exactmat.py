@@ -1,8 +1,7 @@
 """Exact integer linear algebra and full-rank lattice arithmetic.
 
-All matrix entries are Python integers, so every operation here is exact;
-fractions.Fraction appears only in return values that are genuinely rational
-(scalar ratios between lattices).  Floating point is never used.
+All matrix entries are Python integers, so every operation here is exact.
+Floating point is never used.
 
 A lattice is the column span of a nonsingular integer matrix.  The canonical
 representative of a lattice is its column-style Hermite normal form: lower
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import operator
 import re
-from fractions import Fraction
 
 
 class MatrixError(ValueError):
@@ -255,27 +253,12 @@ class LatticeBasis:
             raise MatrixError("dimension mismatch")
         return solve_triangular(self.hnf, v) is not None
 
-    def scale(self, c) -> "LatticeBasis":
-        """The lattice c * L for a positive int or Fraction c with c * L integral.
-
-        A positive multiple of a normal form is again one.
-        """
-        if not isinstance(c, (int, Fraction)):
-            raise LatticeError("scale factor must be an int or a Fraction")
-        c = Fraction(c)
-        if c <= 0:
-            raise LatticeError("scale factor must be positive")
-        num, den = c.numerator, c.denominator
-        scaled = []
-        for row in self.hnf.entries:
-            new_row = []
-            for x in row:
-                y = x * num
-                if y % den:
-                    raise LatticeError("scale does not produce an integral lattice")
-                new_row.append(y // den)
-            scaled.append(tuple(new_row))
-        return LatticeBasis._from_hnf(IntMatrix._trusted(tuple(scaled)))
+    def scale(self, c: int) -> "LatticeBasis":
+        """The lattice c * L for a positive int c: a positive multiple of a
+        normal form is again one."""
+        if type(c) is not int or c <= 0:
+            raise LatticeError("scale factor must be a positive int")
+        return LatticeBasis._from_hnf(self.hnf * c)
 
     def key(self) -> tuple:
         """Canonical sort/deduplication key: the flattened normal form."""
@@ -334,23 +317,6 @@ def lattice_intersect(a: LatticeBasis, b: LatticeBasis) -> LatticeBasis:
     cols = [list(c) * 2 for c in zip(*a.hnf.entries)]
     cols += [list(c) + [0] * n for c in zip(*b.hnf.entries)]
     return LatticeBasis._from_hnf(_column_hnf(cols, n))
-
-
-def is_scalar_multiple(a: LatticeBasis, b: LatticeBasis) -> Fraction | None:
-    """The positive rational c with b = c * a, or None when there is none.
-
-    Scaling a lattice by a positive rational scales its normal form entrywise,
-    so a single cross-multiplied comparison of the two normal forms decides.
-    """
-    if a.dim != b.dim:
-        raise MatrixError("dimension mismatch")
-    num = b.hnf.entries[0][0]
-    den = a.hnf.entries[0][0]
-    for ra, rb in zip(a.hnf.entries, b.hnf.entries):
-        for xa, xb in zip(ra, rb):
-            if xa * num != xb * den:
-                return None
-    return Fraction(num, den)
 
 
 def matrix_to_json(m: IntMatrix) -> dict:

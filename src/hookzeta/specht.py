@@ -8,9 +8,9 @@ Two coordinate systems are constructed for the same module:
   shape (2, 1^(n-1)).
 
 The Specht action is available twice: an oracle from first principles, on
-polytabloids grouped by first-row pair (the n!-term `polytabloid` expansion is
-its test oracle), and a closed combinatorial rule that must agree with the
-oracle before being trusted at sizes the oracle is not run at.  A Schur
+polytabloids grouped by first-row pair (the test suite checks it against the
+n!-term polytabloid expansion), and a closed combinatorial rule that must agree
+with the oracle before being trusted at sizes the oracle is not run at.  A Schur
 intertwiner between the two realizations locates the Specht lattice among the
 stable lattices of the standard coordinates.  The intertwiner has a closed form
 (`closed_intertwiner`), whose defining equations are checked exactly on every
@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
-from typing import NamedTuple
 
 from . import craig
 from .arith import content
@@ -91,70 +89,13 @@ def verify_coxeter(gens: RepGenerators) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HookTableau:
-    """Standard Young tableau of shape (2, 1^(n-1)), determined by box (1,2).
-
-    The first column is {1, ..., n+1} minus t in increasing order, so the n
-    standard tableaux are T_2, ..., T_{n+1}.
-    """
-
-    n: int
-    t: int
-
-    def __post_init__(self):
-        if not 2 <= self.t <= self.n + 1:
-            raise ValueError("box (1,2) entry must lie in 2..n+1")
-
-    @property
-    def first_column(self) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 2) if v != self.t)
-
-
-class Tabloid(NamedTuple):
-    """Row-equivalence class: unordered two-element first row, then singles."""
-
-    row_pair: tuple[int, int]
-    singles: tuple[int, ...]
-
-
-def _make_tabloid(a: int, b: int, singles) -> Tabloid:
-    pair = (a, b) if a < b else (b, a)
-    return Tabloid(pair, tuple(singles))
-
-
-def _perm_sign(seq: tuple[int, ...]) -> int:
-    """Sign of the permutation sending sorted(seq) to seq."""
-    rank = {v: i for i, v in enumerate(sorted(seq))}
-    idx = [rank[v] for v in seq]
-    inv = sum(1 for i in range(len(idx)) for j in range(i + 1, len(idx)) if idx[i] > idx[j])
-    return -1 if inv % 2 else 1
-
-
-def polytabloid(tableau: HookTableau, bounds: Bounds = DEFAULT_BOUNDS) -> dict[Tabloid, int]:
-    """Signed tabloid expansion over the column stabilizer of the tableau.
-
-    The column group permutes the n first-column entries, so the expansion has
-    exactly n! terms with coefficients +-1.
-    """
-    n = tableau.n
-    if n > bounds.polytabloid_max_n:
-        raise ScaleError("oracle-scale-exceeded: polytabloid expansion needs n! terms")
-    col = tableau.first_column
-    t = tableau.t
-    out: dict[Tabloid, int] = {}
-    for image in permutations(col):
-        sign = _perm_sign(image)
-        out[_make_tabloid(image[0], t, image[1:])] = sign
-    return out
-
-
 def specht_generators_oracle(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> RepGenerators:
     """Specht-basis action computed from first principles.
 
-    The n! terms of e_{T_t} (see `polytabloid`) with first-row pair {x, t} are
-    all orderings of the other n - 1 entries, each signed by its permutation;
-    so e_{T_t} is held as one signed term per pair, a bit mask of {x, t} with
+    The polytabloid e_{T_t} has n! terms, one per ordering of its first column
+    {1, ..., n+1} minus t.  Those with first-row pair {x, t} are all orderings
+    of the other n - 1 entries, each signed by its permutation; so e_{T_t} is
+    held as one signed term per pair, a bit mask of {x, t} with
     sign (-1)^(position of x in the first column).  s_k relabels the pair, and
     flips the sign exactly when k and k+1 are both singles (they are adjacent
     in every ordering's sort).  The coefficient of e_{T_u} is read off the pair
@@ -169,7 +110,10 @@ def specht_generators_oracle(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> RepGene
         raise ScaleError("oracle-scale-exceeded: n is above the polytabloid oracle bound")
     labels = range(2, n + 2)
     grouped = {
-        t: {1 << x | 1 << t: (-1) ** i for i, x in enumerate(HookTableau(n, t).first_column)}
+        t: {
+            1 << x | 1 << t: (-1) ** i
+            for i, x in enumerate(x for x in range(1, n + 2) if x != t)
+        }
         for t in labels
     }
     mats = []

@@ -208,6 +208,16 @@ class TestEnumerateCommand:
             if 2 * a + b <= 4
         }
 
+    def test_with_lattices_refuses_the_text_format(self, capsys, monkeypatch):
+        # The text form holds only the counts: refused before any work.
+        monkeypatch.setattr(craig, "enumerate_p_sublattices", None)
+        code, out, err = run(
+            capsys, "enumerate", "--n", "2", "--prime", "3", "--max-exp", "4",
+            "--with-lattices", "--format", "text",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --with-lattices needs --format json\n"
+
     def test_oracle_mismatch_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(craig, "enumerate_index_sublattices", lambda *args: [])
         code, out, err = run(
@@ -363,13 +373,12 @@ class TestIdentifyCommand:
         assert (code, out, err) == (1, "", "lattice is not stable under the action\n")
 
     def test_identification_decides_stability(self, capsys, tmp_path, monkeypatch):
-        # Neither the dense stability pass nor the action in the lattice's
-        # basis is needed: matching r L(d) with d | n+1 proves stability.
+        # No stability pass is needed: matching r L(d) with d | n+1 proves
+        # stability.
         def forbidden(*args):
-            raise AssertionError("identify ran a dense stability pass")
+            raise AssertionError("identify ran a stability pass")
 
         monkeypatch.setattr(craig, "is_g_stable", forbidden)
-        monkeypatch.setattr(craig, "action_in_basis", forbidden)
         path = tmp_path / "basis.json"
         for n, lat, want in (
             (60, craig_lattice(60, 61).basis, "61"),

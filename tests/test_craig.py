@@ -11,7 +11,6 @@ from hookzeta.arith import divisors, prime_factorization, valuation
 from hookzeta.bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from hookzeta.craig import (
     ScaledCraigLattice,
-    action_in_basis,
     classify_sublattice,
     craig_lattice,
     enumerate_index_sublattices,
@@ -34,7 +33,6 @@ from hookzeta.exactmat import (
     IntMatrix,
     LatticeBasis,
     LatticeError,
-    is_scalar_multiple,
     lattice_index,
     lattice_intersect,
     lattice_sum,
@@ -87,6 +85,17 @@ def integer_families(rng, n):
         RepGenerators(n, tuple(mat([0] * n) for _ in range(n))),
         RepGenerators(n, (scalar,) + tuple(mat() for _ in range(n - 1))),
     ]
+
+
+def action_in_basis(lattice, mat):
+    """The oracles' dense action: `mat` in the lattice's basis H, H^-1 (mat H)
+    by one lattice solve, or None when the lattice is not invariant under it.
+    Independent of the sparse conjugation `craig._conjugated_action`."""
+    return solve_in_lattice(lattice.hnf, mat * lattice.hnf)
+
+
+def dense_is_stable(lattice, gens):
+    return all(action_in_basis(lattice, m) is not None for m in gens.mats)
 
 
 def dense_residue_action(lattice, gens, p):
@@ -333,7 +342,7 @@ class TestStability:
         gens = craig_generators(3)
         for a in range(3):
             for b in range(3):
-                assert is_g_stable(scaled(3, 2, a, b), gens)
+                assert dense_is_stable(scaled(3, 2, a, b), gens)
 
 
 class TestScaledClosedForms:
@@ -761,8 +770,9 @@ class TestConjugatedAction:
     @staticmethod
     def compare(lat, gens):
         """The sparse conjugation, densified as cI plus its terms, equals
-        `action_in_basis`, or both reject."""
+        `action_in_basis`, or both reject; `is_g_stable` agrees."""
         dense = [action_in_basis(lat, m) for m in gens.mats]
+        assert is_g_stable(lat, gens) == (None not in dense)
         if None in dense:
             with pytest.raises(LatticeError):
                 craig._conjugated_action.__wrapped__(lat, gens)
@@ -792,6 +802,12 @@ class TestConjugatedAction:
                     )))
                     outcomes += [self.compare(x, gens) for x in lats]
         assert outcomes.count(True) > 100 and outcomes.count(False) > 20
+
+    def test_dimension_mismatch_raises(self):
+        for lat, gens in ((craig_lattice(3, 1).basis, craig_generators(4)),
+                          (craig_lattice(4, 5).basis, specht_generators_closed(3))):
+            with pytest.raises(LatticeError, match="dimension mismatch"):
+                is_g_stable(lat, gens)
 
     def test_unstable_lattice_raises_uncached(self):
         n, gens = 4, craig_generators(4)
@@ -944,10 +960,15 @@ class TestClassify:
 class TestIdentifyStableLattice:
     @staticmethod
     def divisor_loop(lattice):
-        """The oracle: compare the lattice with every L(d), d | n+1."""
+        """The oracle: compare the lattice with every L(d), d | n+1, by a
+        cross-multiplied proportionality test of the two normal forms (scaling
+        by a positive rational scales a normal form entrywise)."""
         n = lattice.dim
+        b = lattice.hnf.entries
         for d in divisors(n + 1):
-            if is_scalar_multiple(craig_lattice(n, d).basis, lattice) is not None:
+            a = craig_lattice(n, d).basis.hnf.entries
+            if all(xa * b[0][0] == xb * a[0][0]
+                   for ra, rb in zip(a, b) for xa, xb in zip(ra, rb)):
                 return d
         return None
 
@@ -1120,7 +1141,7 @@ class TestIndexCensus:
         for m in (4, 8, 12):
             for sub in enumerate_index_sublattices(lat, gens, m):
                 assert lattice_index(lat, sub) == m
-                assert is_g_stable(sub, gens)
+                assert dense_is_stable(sub, gens)
 
     def test_index_bound(self):
         lat = craig_lattice(2, 1).basis
