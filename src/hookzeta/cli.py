@@ -121,7 +121,7 @@ def cmd_enumerate(args) -> int:
         return 2
     # Index p^0 holds L(d) alone: neither the walk nor the census reads the
     # generators there.
-    gens = specht.craig_generators(args.n) if args.max_exp else None
+    gens = specht.craig_generators(args.n) if args.max_exp > 0 else None
     found = craig.enumerate_p_sublattices(base, gens, args.prime, args.max_exp, bounds)
     counts = {str(e): len(found.get(e, [])) for e in range(args.max_exp + 1)}
     if args.oracle:
@@ -196,7 +196,7 @@ def cmd_specht(args) -> int:
         raise ScaleError(f"specht-scale-exceeded: n = {args.n} is above {bounds.specht_max_n}")
     closed = specht.specht_generators_closed(args.n)
     if args.n <= bounds.polytabloid_max_n:
-        oracle = specht.specht_generators_oracle(args.n, bounds)
+        oracle = specht.specht_generators_oracle(args.n)
         if oracle.mats != closed.mats:
             print("closed Specht action disagrees with the oracle", file=sys.stderr)
             return 1

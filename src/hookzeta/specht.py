@@ -25,7 +25,6 @@ from math import gcd
 
 from . import craig
 from .arith import content
-from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from .exactmat import IntMatrix, LatticeBasis, LatticeError, _combine, _nonzeros
 
 
@@ -89,7 +88,7 @@ def verify_coxeter(gens: RepGenerators) -> bool:
     return True
 
 
-def specht_generators_oracle(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> RepGenerators:
+def specht_generators_oracle(n: int) -> RepGenerators:
     """Specht-basis action computed from first principles.
 
     The polytabloid e_{T_t} has n! terms, one per ordering of its first column
@@ -102,12 +101,12 @@ def specht_generators_oracle(n: int, bounds: Bounds = DEFAULT_BOUNDS) -> RepGene
     {1, u}, since e_{T_u} is the unique basis vector supported on the identity
     tabloid of T_u, and the claimed combination must reproduce the moved
     vector exactly.  Distinct pairs have disjoint tabloid supports, so the map
-    back to full expansions is injective and the check still decides.
+    back to full expansions is injective and the check still decides.  The
+    callers, `verify` and the `specht` command, stop it at
+    `Bounds.polytabloid_max_n`.
     """
     if n < 2:
         raise ValueError("module dimension must be at least 2")
-    if n > bounds.polytabloid_max_n:
-        raise ScaleError("oracle-scale-exceeded: n is above the polytabloid oracle bound")
     labels = range(2, n + 2)
     grouped = {
         t: {

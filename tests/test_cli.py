@@ -5,11 +5,11 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest.mock import Mock
+from unittest.mock import Mock, call
 
 import pytest
 
-from hookzeta import cli, craig, specht, zeta
+from hookzeta import cli, craig, specht, verify, zeta
 from hookzeta.arith import divisors
 from hookzeta.bounds import DEFAULT_BOUNDS, Bounds
 from hookzeta.craig import craig_lattice
@@ -263,7 +263,8 @@ class TestEnumerateCommand:
         assert json.loads(out) == {"counts": {"0": 1}, "p": 1000000000000000003}
 
     def test_exponent_zero_builds_no_generators(self, capsys, monkeypatch, time_limit):
-        # Index p^0 holds L(d) alone; the n^3 generators at n = 300 took seconds.
+        # Index p^0 holds L(d) alone, and a negative exponent is refused; the
+        # n^3 generators at n = 300 took seconds.
         def forbidden(*args):
             raise AssertionError("enumerate built generators at exponent 0")
 
@@ -278,6 +279,8 @@ class TestEnumerateCommand:
             assert (code, out, err) == (2, "", "requested lattice is not stable\n")
             code, out, err = run(capsys, *argv[:4], "0", *argv[5:])
             assert (code, out, err) == (2, "", "error: need n >= 2 and d >= 1\n")
+            code, out, err = run(capsys, *argv[:-1], "-1")
+            assert (code, out, err) == (2, "", "error: max_exp must be nonnegative\n")
         for n in ("1", "0", "-1"):
             for d in ("1", "2"):
                 code, out, err = run(capsys, *argv[:2], n, "--d", d, *argv[5:])
@@ -522,8 +525,8 @@ class TestSpechtCommand:
     def test_oracle_mismatch_exits_one(self, capsys, monkeypatch):
         real = specht.specht_generators_oracle
 
-        def swapped(n, bounds):
-            gens = real(n, bounds)
+        def swapped(n):
+            gens = real(n)
             return specht.RepGenerators(n, gens.mats[::-1])
 
         monkeypatch.setattr(specht, "specht_generators_oracle", swapped)
@@ -637,6 +640,18 @@ class TestVerifyCommand:
 
 
 class TestBoundOverrides:
+    def test_oracle_reach_is_set_by_its_callers(self, capsys, monkeypatch):
+        # The oracle takes no bound: `specht` and `verify` stop it at --bound-oracle-n.
+        oracle = Mock(wraps=specht.specht_generators_oracle)
+        monkeypatch.setattr(specht, "specht_generators_oracle", oracle)
+        assert run(capsys, "specht", "--n", "8")[0] == 0
+        assert oracle.call_args_list == []
+        assert run(capsys, "--bound-oracle-n", "8", "specht", "--n", "8")[0] == 0
+        assert oracle.call_args_list == [call(8)]
+        oracle.reset_mock()
+        assert verify.run_verification(4, Bounds(polytabloid_max_n=3))["passed"]
+        assert oracle.call_args_list == [call(2), call(3)]
+
     def test_index_bound_override(self, capsys):
         code, _, err = run(
             capsys,

@@ -928,6 +928,23 @@ class TestPPowerWalk:
         check = verify.check_p_power_classification((2, 3, 5), 5)
         assert check.passed, check.detail
 
+    def test_the_check_names_a_wrong_level_and_an_unclassified_lattice(self, monkeypatch):
+        # At n = 2, p = 3 the walk finds L(1) at level 0 and L(3) at level 1.
+        real = craig.enumerate_p_sublattices
+
+        def relabelled(*args):
+            return {e + 1: lats for e, lats in real(*args).items()}
+
+        def foreign(*args):
+            return {**real(*args), 1: [LatticeBasis(IntMatrix([[1, 0], [0, 3]]))]}
+
+        monkeypatch.setattr(craig, "enumerate_p_sublattices", relabelled)
+        check = verify.check_p_power_classification((2,), 3)
+        assert not check.passed and "(2, 3, 1, (0, 0))" in check.detail
+        monkeypatch.setattr(craig, "enumerate_p_sublattices", foreign)
+        check = verify.check_p_power_classification((2,), 3)
+        assert not check.passed and "(2, 3, 1, 'unclassified')" in check.detail
+
 
 class TestSumDecomposition:
     def test_n5_factorial_coefficients(self):

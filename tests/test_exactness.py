@@ -5,10 +5,12 @@ floating point gets in: a float or complex literal, a call to `float`,
 `complex` or `round`, and an import from `math`, `cmath`, `statistics` or
 `decimal` of anything other than the integer functions `gcd` and `isqrt`, and
 true division `/`, which turns two ints into a float.  Exact rationals are
-built with the `fractions.Fraction` constructor instead.
+built with the `fractions.Fraction` constructor instead.  Every module must
+also parse under the grammar of the oldest Python that pyproject.toml declares.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,19 @@ def inexact_uses(tree: ast.AST) -> list[str]:
 
 def test_sources_found():
     assert any(path.name == "craig.py" for path in SOURCES)
+
+
+def declared_floor() -> tuple[int, int]:
+    """The (major, minor) of pyproject.toml's `requires-python = ">=X.Y"`."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_module_parses_at_the_declared_python_floor(path):
+    # The interpreter running the suite may be newer than the floor.
+    ast.parse(path.read_text(), str(path), feature_version=declared_floor())
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

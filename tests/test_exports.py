@@ -1,8 +1,10 @@
 """Every name a `hookzeta` module lists in `__all__` exists, so that
-`from hookzeta.<module> import *` cannot fail on a stale entry."""
+`from hookzeta.<module> import *` cannot fail on a stale entry, and the
+package namespace itself lists no names: each is imported from its module."""
 
 import importlib
 import pkgutil
+from types import ModuleType
 
 import hookzeta
 
@@ -18,3 +20,12 @@ def test_every_exported_name_resolves():
     for module in exporting:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], module.__name__
+
+
+def test_package_namespace_holds_no_names():
+    names = [
+        name
+        for name, value in vars(hookzeta).items()
+        if not name.startswith("__") and not isinstance(value, ModuleType)
+    ]
+    assert names == []

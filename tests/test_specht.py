@@ -7,7 +7,6 @@ from typing import NamedTuple
 import pytest
 
 from hookzeta import verify
-from hookzeta.bounds import Bounds, ScaleError
 from hookzeta.arith import content
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import (
@@ -209,12 +208,7 @@ class TestGroupedOracle:
 
     @pytest.mark.parametrize("n", range(2, 33))
     def test_equals_the_closed_rule(self, n):
-        oracle = specht_generators_oracle(n, Bounds(polytabloid_max_n=32))
-        assert oracle.mats == specht_generators_closed(n).mats
-
-    def test_reach_is_the_oracle_bound(self):
-        with pytest.raises(ScaleError, match="oracle-scale-exceeded"):
-            specht_generators_oracle(8, Bounds(polytabloid_max_n=7))
+        assert specht_generators_oracle(n).mats == specht_generators_closed(n).mats
 
 
 class TestSpechtClosedForm:
