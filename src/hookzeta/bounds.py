@@ -28,8 +28,11 @@ class Bounds:
     # edges), and n^3 per member of the radical interval, checked once the
     # top classes are known.
     spinning_max_order: int = 1_000_000
-    # Largest `hookzeta enumerate --max-exp`: the walk reads a residue layer
-    # per exponent (about 1 s at 1000 for n = 8, p = 3).
+    # Largest `hookzeta enumerate --max-exp`: the walk expands each primitive
+    # lattice once, then builds and sorts every level up to it.  At 1000 a
+    # fresh process takes about 0.35 s at the costliest corner the spinning
+    # bound accepts, n = 31 and p = 2, and 0.1 s at n = 8, p = 3 (2-core
+    # host, CPython 3.11).
     walk_max_exp: int = 1000
     # Largest n accepted by `hookzeta specht`, whose JSON output grows like
     # n^3 (n generator matrices of n^2 entries; about 32 MB at n = 128).

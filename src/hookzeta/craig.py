@@ -29,7 +29,7 @@ from itertools import compress, product
 from math import gcd
 from types import MappingProxyType
 
-from .arith import content, divisors, is_prime, prime_factorization, valuation
+from .arith import divisors, is_prime, prime_factorization, valuation
 from .bounds import DEFAULT_BOUNDS, Bounds, ScaleError
 from .exactmat import (
     IntMatrix,
@@ -192,14 +192,15 @@ def identify_stable_lattice(lattice: LatticeBasis) -> int | None:
     """The divisor d of n+1 with the lattice a scalar multiple of L(d), or None.
 
     L(d) contains e_n, so its content is 1 and its determinant d^(n-1).  A
-    lattice c L(d) therefore has content c and determinant c^n d^(n-1), which
-    names the one candidate d; comparing c L(d) with the lattice confirms it.
+    lattice c L(d) therefore has the primitive part L(d) of determinant
+    d^(n-1), which names the one candidate d; comparing L(d) with the
+    primitive part confirms it.
     """
     n = lattice.dim
-    c = content(x for row in lattice.hnf.entries for x in row)
-    q = lattice.determinant() // c**n
+    prim = lattice.primitive()[1]
+    q = prim.determinant()
     d = next((d for d in divisors(n + 1) if d ** (n - 1) == q), None)
-    if d is None or craig_lattice(n, d).basis.scale(c) != lattice:
+    if d is None or craig_lattice(n, d).basis != prim:
         return None
     return d
 
@@ -401,7 +402,8 @@ def _is_squarefree(f: list[int], p: int) -> bool:
     return len(_poly_gcd(f, deriv, p)) == 1
 
 
-def _berlekamp(f: list[int], p: int) -> list[list[int]]:
+@lru_cache(maxsize=_LAYER_CACHE_SIZE)
+def _berlekamp(f: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     """The monic irreducible factors of a monic squarefree f over F_p.
 
     The polynomials g of degree below deg f with g^p = g mod f form the
@@ -410,7 +412,9 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
     reduce to zero.  Each such g is constant modulo every irreducible factor,
     so h = prod_s gcd(h, g - s) for every factor h of f, and a basis of the
     subalgebra separates all irreducible factors.  The subalgebra has one
-    dimension per irreducible factor, which says when to stop.
+    dimension per irreducible factor, which says when to stop.  Memoized: chi
+    of a word is a similarity invariant, so every lattice of one family
+    factors the same chi.
     """
     n = len(f) - 1
     x_p = _poly_divmod([0] * p + [1], f, p)[1]
@@ -423,7 +427,7 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
         if not any(residue[:n]):
             algebra.append(residue[n:])
         power = _poly_divmod(_poly_mul(power, x_p, p), f, p)[1]
-    factors = [f]
+    factors = [list(f)]
     for g in algebra:
         if len(factors) == len(algebra):
             break
@@ -435,7 +439,7 @@ def _berlekamp(f: list[int], p: int) -> list[list[int]]:
                 if len(d) > 1:
                     splits.append(d)
         factors = splits
-    return factors
+    return tuple(map(tuple, factors))
 
 
 def _word_action(factors, p: int):
@@ -507,7 +511,7 @@ def _word_kernels(shifted, p: int, n: int):
         if not _is_squarefree(chi, p):
             continue
         blocks = []
-        for f in _berlekamp(chi, p):
+        for f in map(list, _berlekamp(tuple(chi), p)):
             j, krylov = next((j, kr) for j, g, kr in starts if not _poly_divmod(g, f, p)[1])
             quo = _poly_divmod(chi, f, p)[0]
             if len(quo) <= len(krylov):
@@ -687,23 +691,36 @@ def enumerate_p_sublattices(
     Breadth-first walk: every stable sublattice of p-power index sits at the
     bottom of a chain of maximal inclusions, so repeatedly expanding maximal
     stable sublattices and deduplicating by normal form reaches everything.
-    A maximal key of codimension c lifts to a sublattice of index p^c, so
-    only the lifts that stay within max_exp are built.
+    Scaling by c maps the sublattices of M onto those of c M, so the walk
+    holds each lattice as (c, M) with M primitive (`LatticeBasis.primitive`)
+    and expands each M once: one residue layer and one lift per maximal key,
+    each lift split again into (c', N), which puts (c c', N) on a later level.
+    A maximal key of codimension k lifts to a sublattice of index p^k, and M
+    is first met on its lowest level, so only the lifts that stay within
+    max_exp there are built.  The lattices c M are built once, for the result.
     Its domain is a family with a squarefree prefix word mod p, as the hook
     module and its Specht form have; others raise ValueError("no-semisimple-word").
     """
     _require_prime(p)
     if max_exp < 0:
         raise ValueError("max_exp must be nonnegative")
-    levels: dict[int, dict[tuple, LatticeBasis]] = {0: {lattice.key(): lattice}}
+    levels: dict[int, set] = {0: {lattice.primitive()}}
+    lifts: dict[LatticeBasis, list] = {}
     for e in range(max_exp):
-        for lat in levels.get(e, {}).values():
-            for key in _residue_layer(lat, gens, p, bounds)[0]:
-                e2 = e + lat.dim - len(key)
-                if e2 <= max_exp:
-                    sub = _lift_subspace(lat, key, p)
-                    levels.setdefault(e2, {})[sub.key()] = sub
-    return {e: _sorted_lattices(levels.get(e, {}).values()) for e in range(max_exp + 1)}
+        for c, prim in levels.get(e, ()):
+            if prim not in lifts:
+                lifts[prim] = [
+                    (prim.dim - len(key), *_lift_subspace(prim, key, p).primitive())
+                    for key in _residue_layer(prim, gens, p, bounds)[0]
+                    if e + prim.dim - len(key) <= max_exp
+                ]
+            for codim, c2, sub in lifts[prim]:
+                if e + codim <= max_exp:
+                    levels.setdefault(e + codim, set()).add((c * c2, sub))
+    return {
+        e: _sorted_lattices(prim.scale(c) for c, prim in levels.get(e, ()))
+        for e in range(max_exp + 1)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +1018,7 @@ def classify_sublattice(sub: LatticeBasis, p: int) -> tuple[int, int]:
     d = identify_stable_lattice(sub)
     if d is None:
         raise LatticeError("sublattice does not match any scaled representative")
-    c = content(x for row in sub.hnf.entries for x in row)
+    c = sub.primitive()[0]
     a, b = valuation(c, p), valuation(d, p)
     if c != p**a or d != p**b:
         raise LatticeError("sublattice is not p^a L(p^b)")

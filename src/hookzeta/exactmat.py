@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import operator
 import re
+from itertools import chain
+from math import gcd
 
 
 class MatrixError(ValueError):
@@ -259,6 +261,16 @@ class LatticeBasis:
         if type(c) is not int or c <= 0:
             raise LatticeError("scale factor must be a positive int")
         return LatticeBasis._from_hnf(self.hnf * c)
+
+    def primitive(self) -> tuple[int, "LatticeBasis"]:
+        """(c, M) with c the content of the normal form and M = L / c, the
+        inverse of `scale`: M.scale(c) == L.  Dividing a normal form by its
+        content leaves one; a content-1 lattice is returned as itself."""
+        c = gcd(*chain.from_iterable(self.hnf.entries))
+        if c == 1:
+            return 1, self
+        rows = tuple(tuple(x // c for x in row) for row in self.hnf.entries)
+        return c, LatticeBasis._from_hnf(IntMatrix._trusted(rows))
 
     def key(self) -> tuple:
         """Canonical sort/deduplication key: the flattened normal form."""

@@ -10,7 +10,7 @@ from unittest.mock import Mock, call
 import pytest
 
 from hookzeta import cli, craig, specht, verify, zeta
-from hookzeta.arith import divisors
+from hookzeta.arith import divisors, valuation
 from hookzeta.bounds import DEFAULT_BOUNDS, Bounds
 from hookzeta.craig import craig_lattice
 from hookzeta.exactmat import IntMatrix, matrix_to_json
@@ -115,6 +115,36 @@ class TestEnumerateOracleContract:
                 code, _, err = run(capsys, *argv)
             assert code == 0, argv
             assert "Traceback" not in err, argv
+
+
+class TestEnumerateWalkContract:
+    """`enumerate` walks to the largest --max-exp the default bounds accept in
+    under a second, from cold caches: at each p, the largest n with p | n+1
+    that the spinning bound accepts, from L(1) and from L(n+1)."""
+
+    @staticmethod
+    def corners():
+        bounds = DEFAULT_BOUNDS
+        for p in (2, 3, 5, 7):
+            n = max(n for n in range(2, 40)
+                    if (n + 1) % p == 0 and n**3 * (n + p) <= bounds.spinning_max_order)
+            for d in (1, n + 1):
+                yield n, d, p, bounds.walk_max_exp
+
+    def test_answered_at_every_corner(self, capsys, time_limit):
+        cases = list(self.corners())
+        assert [n for n, *_ in cases[::2]] == [31, 29, 29, 27]
+        assert {top for *_, top in cases} == {1000}
+        for n, d, p, top in cases:
+            argv = ["enumerate", "--n", str(n), "--d", str(d), "--prime", str(p),
+                    "--max-exp", str(top), "--format", "json"]
+            for memo in (craig._conjugated_action, craig._action_layer, craig._berlekamp):
+                memo.cache_clear()
+            with time_limit(1):
+                code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            want = zeta.local_factor(n, p, valuation(d, p)).series(top)
+            assert json.loads(out)["counts"] == {str(e): c for e, c in enumerate(want)}, argv
 
 
 class TestCoeffsCommand:

@@ -54,6 +54,19 @@ def projective_reps(n, p):
             yield (0,) * lead + (1,) + tail
 
 
+def plain_walk(lattice, gens, p, max_exp):
+    """`enumerate_p_sublattices` without its (c, M) memo: every lattice met is
+    expanded through `maximal_sublattices_p`, and lifts past max_exp dropped."""
+    levels = {0: {lattice}}
+    for e in range(max_exp):
+        for lat in levels.get(e, ()):
+            for sub in maximal_sublattices_p(lat, gens, p):
+                e2 = e + valuation(lattice_index(lat, sub), p)
+                if e2 <= max_exp:
+                    levels.setdefault(e2, set()).add(sub)
+    return {e: sorted(levels.get(e, ()), key=LatticeBasis.key) for e in range(max_exp + 1)}
+
+
 def integer_moebius(lattice, maximal, target):
     """Sum (-1)^|J| over subsets J of `maximal` meeting in `target`, by lattice_intersect."""
     return sum(
@@ -734,14 +747,40 @@ class TestResidueSubmodules:
 
     def test_walk_builds_one_layer_per_reduced_action(self, monkeypatch):
         # The walk on L(1) at n = 8, p = 3 meets eight lattices p^a L(3^b) with
-        # an exponent left to walk, but only three actions mod 3: those of
-        # L(1), L(3) and L(9).  The memo-free walk is the oracle.
+        # an exponent left to walk, but only three primitive ones: L(1), L(3)
+        # and L(9).  Each is conjugated and reduced mod 3 once, and its
+        # maximal keys are lifted once: L(1) to L(3), L(3) to L(9) and 3 L(1),
+        # L(9) to 3 L(3).  The memo-free walk is the oracle.
         lat, gens = craig_lattice(8, 1).basis, craig_generators(8)
         craig._action_layer.cache_clear()
+        craig._conjugated_action.cache_clear()
+        lifts = []
+        real = craig.hnf
+
+        def counted(m):
+            lifts.append(m)
+            return real(m)
+
+        monkeypatch.setattr(craig, "hnf", counted)
         found = enumerate_p_sublattices(lat, gens, 3, 24)
         assert craig._action_layer.cache_info().misses == 3
+        assert craig._conjugated_action.cache_info().misses == 3
+        assert len(lifts) == 4
         monkeypatch.setattr(craig, "_action_layer", craig._action_layer.__wrapped__)
-        assert enumerate_p_sublattices(lat, gens, 3, 24) == found
+        assert enumerate_p_sublattices(lat, gens, 3, 24) == found == plain_walk(lat, gens, 3, 24)
+
+    @pytest.mark.parametrize("c, d", [(3, 3), (2, 1)])
+    def test_walk_from_a_scaled_start_is_scaled(self, c, d):
+        # Scaling by c maps the sublattices of M onto those of c M: from
+        # 3 L(3), whose content is a power of p, and from 2 L(1), whose content
+        # is not, the walk is c times the walk from L(d), as the memo-free
+        # walk finds it.
+        n, p, max_exp = 8, 3, 24
+        lat, gens = craig_lattice(n, d).basis, craig_generators(n)
+        found = enumerate_p_sublattices(lat.scale(c), gens, p, max_exp)
+        assert found == {e: [x.scale(c) for x in lats]
+                         for e, lats in enumerate_p_sublattices(lat, gens, p, max_exp).items()}
+        assert found == plain_walk(lat.scale(c), gens, p, max_exp)
 
     def test_clearing_a_result_leaves_later_calls_whole(self):
         lat, gens = craig_lattice(7, 2).basis, craig_generators(7)

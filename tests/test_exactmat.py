@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -450,6 +450,35 @@ class TestIntersectionOracle:
             for lat in (lattice_sum(a, b), lattice_intersect(a, b), a.scale(6)):
                 assert lat.basis == lat.hnf == LatticeBasis(lat.basis).hnf
                 assert all(isinstance(x, int) for row in lat.hnf.entries for x in row)
+
+
+class TestPrimitive:
+    @staticmethod
+    def grid():
+        """Seeded lattices: small random ones, dense random bases at n = 12 and
+        24, scaled hook lattices, and each of them built again from its basis
+        times 6 and times 35 by the checked constructor."""
+        rng = random.Random(47)
+        lats = [random_lattice(rng, rng.randint(1, 8)) for _ in range(200)]
+        lats += [LatticeBasis(dense_square(random.Random(seed), n)) for n in (12, 24) for seed in (1, 2)]
+        lats += [craig_lattice(n, d).basis.scale(s) for n in (3, 5, 7) for d in (1, n + 1) for s in (1, 4, 9)]
+        return lats + [LatticeBasis(lat.basis * k) for lat in lats for k in (6, 35)]
+
+    def test_inverse_of_scale(self):
+        contents = set()
+        for lat in self.grid():
+            c, m = lat.primitive()
+            contents.add(c)
+            assert m.scale(c) == lat
+            assert m.hnf == hnf(m.hnf) == hnf(m.basis)
+            assert gcd(*(x for row in m.hnf.entries for x in row)) == 1
+            assert m.primitive()[0] == 1 and m.primitive()[1] is m
+            if c == 1:
+                assert m is lat
+            for k in (1, 3, 10):
+                kc, km = lat.scale(k).primitive()
+                assert (kc, km) == (k * c, m)
+        assert {1, 4, 6, 9, 24, 35, 315} <= contents
 
 
 def closed_form_grid():

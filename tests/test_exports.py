@@ -1,9 +1,12 @@
 """Every name a `hookzeta` module lists in `__all__` exists, so that
 `from hookzeta.<module> import *` cannot fail on a stale entry, and the
-package namespace itself lists no names: each is imported from its module."""
+package namespace itself lists no names: each is imported from its module.
+The version is stated once, as `hookzeta.__version__`."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 from types import ModuleType
 
 import hookzeta
@@ -29,3 +32,14 @@ def test_package_namespace_holds_no_names():
         if not name.startswith("__") and not isinstance(value, ModuleType)
     ]
     assert names == []
+
+
+def test_version_is_stated_once():
+    # pyproject.toml is read as text: Python 3.10, the declared floor, has no tomllib.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^dynamic = \["version"\]$', text, re.M)
+    assert re.search(
+        r'^\[tool\.setuptools\.dynamic\]\nversion = \{attr = "hookzeta\.__version__"\}$', text, re.M
+    )
+    assert not re.search(r"^version = [\"']", text, re.M)
+    assert re.fullmatch(r"\d+\.\d+\.\d+", hookzeta.__version__)
